@@ -135,25 +135,31 @@ def _as_times(t):
     return arr
 
 
+def _check_range(profile, arr):
+    if isinstance(profile, CustomCoupling) and np.any(arr > profile.times[-1]):
+        raise OutOfRangeError(f"t beyond tabulated range [0, {profile.times[-1]}]")
+
+
+def _rate(profile, t):
+    """lambda(t) at times already checked by lambda_at; no validation."""
+    if isinstance(profile, ConstantCoupling):
+        return np.full_like(t, profile.lambda0)
+    if isinstance(profile, LinearCoupling):
+        return profile.lambda0 * profile.zeta1 * t
+    if isinstance(profile, SechCoupling):
+        return profile.lambda0 / np.cosh(profile.zeta2 * t)
+    if isinstance(profile, SinusoidalCoupling):
+        return profile.lambda0 * np.sin(profile.p * profile.zeta3 * t)
+    if isinstance(profile, CustomCoupling):
+        return np.interp(t, profile._t, profile._v)
+    raise InvalidInputError(f"unknown coupling profile {type(profile).__name__}")
+
+
 def lambda_at(profile, t):
     """Coupling rate lambda(t). Accepts a scalar or an array of times."""
     arr = _as_times(t)
-    if isinstance(profile, ConstantCoupling):
-        out = np.full_like(arr, profile.lambda0)
-    elif isinstance(profile, LinearCoupling):
-        out = profile.lambda0 * profile.zeta1 * arr
-    elif isinstance(profile, SechCoupling):
-        out = profile.lambda0 / np.cosh(profile.zeta2 * arr)
-    elif isinstance(profile, SinusoidalCoupling):
-        out = profile.lambda0 * np.sin(profile.p * profile.zeta3 * arr)
-    elif isinstance(profile, CustomCoupling):
-        if np.any(arr > profile.times[-1]):
-            raise OutOfRangeError(
-                f"t beyond tabulated range [0, {profile.times[-1]}]"
-            )
-        out = np.interp(arr, profile._t, profile._v)
-    else:
-        raise InvalidInputError(f"unknown coupling profile {type(profile).__name__}")
+    _check_range(profile, arr)
+    out = _rate(profile, arr)
     return out if arr.ndim else float(out)
 
 
@@ -176,10 +182,7 @@ def coupling_area(profile, t):
         k = profile.p * profile.zeta3
         out = profile.lambda0 * (1.0 - np.cos(k * arr)) / k
     elif isinstance(profile, CustomCoupling):
-        if np.any(arr > profile.times[-1]):
-            raise OutOfRangeError(
-                f"t beyond tabulated range [0, {profile.times[-1]}]"
-            )
+        _check_range(profile, arr)
         idx = np.searchsorted(profile._t, arr, side="right") - 1
         idx = np.clip(idx, 0, len(profile.times) - 2)
         t0 = profile._t[idx]

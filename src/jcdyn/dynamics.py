@@ -5,6 +5,13 @@ independent 2x2 rotations whose angle is the coupling area scaled by
 sqrt(n+1). Pure joint states evolve amplitude-wise. Field mixtures that are
 diagonal in photon number evolve sector by sector, which never materializes
 a joint density matrix.
+
+The evolution functions take one time or a 1-D array of times. An array
+yields the batch form of the same dataclass: every field gains a leading
+time axis. A batch is validated once: each check of the single-time
+constructor runs over all rows in the same order, and a message that quotes
+a value quotes the first failing row, so a batch with one invalid row raises
+exactly what the single-time constructor raises for that row.
 """
 
 from __future__ import annotations
@@ -20,6 +27,15 @@ from .fields import PhotonDistribution
 
 _NORM_TOL = 1e-12
 _RHO_TOL = 1e-10
+_TIME_ERROR = "t must be a finite non-negative number"
+
+
+def _first(values, bad):
+    """The value at the first row flagged in ``bad``, as a Python number.
+
+    Works alike on a column with its mask and on one value with one flag.
+    """
+    return np.ravel(values)[np.argmax(bad)].item()
 
 
 @dataclass(frozen=True)
@@ -61,11 +77,13 @@ class AtomState:
 
 @dataclass(frozen=True)
 class JointPureState:
-    """Joint atom-field amplitudes at one instant.
+    """Joint atom-field amplitudes at one instant, or at each time of a batch.
 
     ``amps_e[n]`` multiplies |e,n>, ``amps_g[n]`` multiplies |g,n>. Both
     arrays share one length chosen large enough that the topmost retained
     block closes, so evolution is exactly unitary on this representation.
+    In the batch form ``time`` is a 1-D array and the amplitude arrays hold
+    one row per time.
     """
 
     amps_e: np.ndarray
@@ -75,32 +93,46 @@ class JointPureState:
     def __post_init__(self):
         e = np.asarray(self.amps_e, dtype=complex)
         g = np.asarray(self.amps_g, dtype=complex)
-        if e.ndim != 1 or e.shape != g.shape or e.size == 0:
+        if np.ndim(self.time) == 1:
+            time = np.asarray(self.time, dtype=float)
+            if (
+                e.ndim != 2
+                or e.shape != g.shape
+                or e.shape[0] != time.size
+                or e.shape[1] == 0
+            ):
+                raise InvalidInputError(
+                    "amplitude arrays must hold one equal-length row per time"
+                )
+            object.__setattr__(self, "time", time)
+        elif e.ndim != 1 or e.shape != g.shape or e.size == 0:
             raise InvalidInputError("amplitude arrays must be 1-D and equal length")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(g))):
             raise InvalidInputError("amplitudes must be finite")
-        if not (math.isfinite(self.time) and self.time >= 0.0):
+        if not np.all(np.isfinite(self.time) & (np.asarray(self.time) >= 0.0)):
             raise InvalidInputError("time must be finite and non-negative")
         object.__setattr__(self, "amps_e", e)
         object.__setattr__(self, "amps_g", g)
 
     @property
     def n_levels(self) -> int:
-        return self.amps_e.size
+        return self.amps_e.shape[-1]
 
-    def norm(self) -> float:
+    def norm(self):
         """Total occupation, 1 up to the truncated tail of the field."""
-        return float(
-            np.sum(np.abs(self.amps_e) ** 2) + np.sum(np.abs(self.amps_g) ** 2)
+        total = np.sum(np.abs(self.amps_e) ** 2, axis=-1) + np.sum(
+            np.abs(self.amps_g) ** 2, axis=-1
         )
+        return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
 class AtomDensityMatrix:
-    """Reduced 2x2 atomic density matrix.
+    """Reduced 2x2 atomic density matrix, or a batch of them.
 
     ``rho_eg`` is the true off-diagonal element <e|rho|g>; the conjugate
-    element is implied by Hermiticity.
+    element is implied by Hermiticity. In the batch form each entry is a
+    1-D column with one value per time.
     """
 
     rho_ee: float
@@ -108,23 +140,33 @@ class AtomDensityMatrix:
     rho_eg: complex
 
     def __post_init__(self):
+        batch = np.ndim(self.rho_ee) == 1
         try:
-            ee, gg = float(self.rho_ee), float(self.rho_gg)
-            eg = complex(self.rho_eg)
+            if batch:
+                ee = np.asarray(self.rho_ee, dtype=float)
+                gg = np.asarray(self.rho_gg, dtype=float)
+                eg = np.asarray(self.rho_eg, dtype=complex)
+            else:
+                ee, gg = float(self.rho_ee), float(self.rho_gg)
+                eg = complex(self.rho_eg)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(
                 "populations must be real, coherence complex"
             ) from exc
+        if batch and not ee.shape == gg.shape == eg.shape:
+            raise InvalidInputError("density matrix columns must share one length")
         object.__setattr__(self, "rho_ee", ee)
         object.__setattr__(self, "rho_gg", gg)
         object.__setattr__(self, "rho_eg", eg)
-        if not all(math.isfinite(v) for v in (ee, gg, eg.real, eg.imag)):
+        if not np.all(np.isfinite(ee) & np.isfinite(gg) & np.isfinite(eg)):
             raise InvalidInputError("density matrix entries must be finite")
-        if ee < -_RHO_TOL or gg < -_RHO_TOL:
+        if np.any((ee < -_RHO_TOL) | (gg < -_RHO_TOL)):
             raise InvalidInputError("populations must be non-negative")
-        if abs(ee + gg - 1.0) > _RHO_TOL:
-            raise InvalidInputError(f"trace {ee + gg!r} deviates from 1")
-        if abs(eg) ** 2 > ee * gg + _RHO_TOL:
+        trace = ee + gg
+        bad = np.abs(trace - 1.0) > _RHO_TOL
+        if np.any(bad):
+            raise InvalidInputError(f"trace {_first(trace, bad)!r} deviates from 1")
+        if np.any(np.abs(eg) ** 2 > ee * gg + _RHO_TOL):
             raise InvalidInputError("coherence exceeds the positivity bound")
 
     @classmethod
@@ -141,14 +183,13 @@ class AtomDensityMatrix:
         )
 
     def as_matrix(self) -> np.ndarray:
-        """2x2 array in the (|e>, |g>) basis."""
-        return np.array(
-            [
-                [self.rho_ee, self.rho_eg],
-                [self.rho_eg.conjugate(), self.rho_gg],
-            ],
-            dtype=complex,
-        )
+        """2x2 array in the (|e>, |g>) basis; (T, 2, 2) for a batch."""
+        m = np.empty(np.shape(self.rho_ee) + (2, 2), dtype=complex)
+        m[..., 0, 0] = self.rho_ee
+        m[..., 0, 1] = self.rho_eg
+        m[..., 1, 0] = np.conj(self.rho_eg)
+        m[..., 1, 1] = self.rho_gg
+        return m
 
 
 def block_angle(n, area) -> float:
@@ -160,10 +201,74 @@ def block_angle(n, area) -> float:
     return float(area) * math.sqrt(n + 1.0)
 
 
-def _check_time(t):
+def _check_times(t):
+    """One time as a float, or a batch of times as a 1-D float array."""
+    if np.ndim(t) == 1:
+        try:
+            times = np.asarray(t, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(_TIME_ERROR) from exc
+        if not np.all(np.isfinite(times) & (times >= 0.0)):
+            raise InvalidInputError(_TIME_ERROR)
+        return times
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-        raise InvalidInputError("t must be a finite non-negative number")
+        raise InvalidInputError(_TIME_ERROR)
     return float(t)
+
+
+def _initial_amplitudes(atom: AtomState, field: PhotonDistribution):
+    """(e0, g0) amplitudes of the product state, one slot past the cutoff."""
+    size = field.n_max + 2
+    e0 = np.zeros(size, dtype=complex)
+    g0 = np.zeros(size, dtype=complex)
+    e0[:-1] = atom.c_e * field.amplitudes
+    g0[:-1] = atom.c_g * field.amplitudes
+    return e0, g0
+
+
+def _rotate_blocks(e0, g0, area):
+    """Amplitudes after block n turns by area * sqrt(n+1): two (Tc, size) arrays.
+
+    Block n mixes e0[n] with g0[n+1], the off-diagonal picking up -i; the
+    dark amplitude g0[0] stays put and the top slot of e stays empty.
+    """
+    theta = area[:, None] * np.sqrt(np.arange(1.0, e0.size))
+    c = np.cos(theta)
+    s = np.sin(theta)
+    e_re, e_im = e0.real[:-1], e0.imag[:-1]
+    g_re, g_im = g0.real[1:], g0.imag[1:]
+    e = np.empty((area.size, e0.size), dtype=complex)
+    g = np.empty_like(e)
+    # e_n = c e0_n - i s g0_(n+1), written out in real and imaginary parts:
+    # the same values as the complex expression without casting c and s
+    # to complex.
+    e.real[:, :-1] = c * e_re + s * g_im
+    e.imag[:, :-1] = c * e_im - s * g_re
+    e[:, -1] = 0.0
+    g.real[:, 1:] = c * g_re + s * e_im
+    g.imag[:, 1:] = c * g_im - s * e_re
+    g[:, 0] = g0[0]
+    return e, g
+
+
+def _sector_sums(rho_ee, rho_gg, rho_eg, weights, area):
+    """Unconditioned (ee, gg, eg) columns of a photon-diagonal mixture.
+
+    Sector n turns |e,n> by area * sqrt(n+1) and |g,n> by area * sqrt(n),
+    so tracing out the field mixes the initial populations by cos^2/sin^2
+    sums over the weights and damps the coherence by the overlap
+    sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). ``area`` is a 1-D array;
+    each result has one entry per area.
+    """
+    theta = area[:, None] * np.sqrt(np.arange(weights.size + 1.0))
+    c = np.cos(theta)
+    s = np.sin(theta)
+    c_lo, c_hi = c[:, :-1], c[:, 1:]
+    s_lo, s_hi = s[:, :-1], s[:, 1:]
+    ee = rho_ee * (c_hi**2 @ weights) + rho_gg * (s_lo**2 @ weights)
+    gg = rho_ee * (s_hi**2 @ weights) + rho_gg * (c_lo**2 @ weights)
+    eg = rho_eg * ((c_lo * c_hi) @ weights)
+    return ee, gg, eg
 
 
 def evolve_pure(
@@ -173,30 +278,20 @@ def evolve_pure(
 
     Each block n rotates (amps_e[n], amps_g[n+1]) by the angle
     A(t) * sqrt(n+1) with the off-diagonal picking up -i. The arrays carry
-    one slot beyond the field cutoff so the top block stays closed.
+    one slot beyond the field cutoff so the top block stays closed. A 1-D
+    array of times gives the batch form, one amplitude row per time.
     """
     if field.amplitudes is None:
         raise InvalidInputError(
             "field is mixed; evolve_mixed handles diagonal mixtures"
         )
-    t = _check_time(t)
-    size = field.n_max + 2
-    e0 = np.zeros(size, dtype=complex)
-    g0 = np.zeros(size, dtype=complex)
-    e0[:-1] = atom.c_e * field.amplitudes
-    g0[:-1] = atom.c_g * field.amplitudes
-    if t == 0.0:
+    t = _check_times(t)
+    e0, g0 = _initial_amplitudes(atom, field)
+    single = np.ndim(t) == 0
+    if single and t == 0.0:
         return JointPureState(e0, g0, 0.0)
-    theta = coupling_area(profile, t) * np.sqrt(np.arange(1.0, size))
-    c = np.cos(theta)
-    s = np.sin(theta)
-    e1 = np.empty(size, dtype=complex)
-    g1 = np.empty(size, dtype=complex)
-    e1[:-1] = c * e0[:-1] - 1j * s * g0[1:]
-    e1[-1] = 0.0
-    g1[1:] = c * g0[1:] - 1j * s * e0[:-1]
-    g1[0] = g0[0]
-    return JointPureState(e1, g1, t)
+    e, g = _rotate_blocks(e0, g0, np.atleast_1d(coupling_area(profile, t)))
+    return JointPureState(e[0], g[0], t) if single else JointPureState(e, g, t)
 
 
 def evolve_mixed(
@@ -206,31 +301,34 @@ def evolve_mixed(
 
     Tracing the field out of each sector's 2x2 rotation gives populations
     mixed by cos^2/sin^2 factors and a coherence damped by the overlap
-    sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)).
+    sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). A 1-D array of times gives
+    the batch form; a single time 0 returns ``atom`` itself.
     """
-    t = _check_time(t)
-    if t == 0.0:
+    t = _check_times(t)
+    single = np.ndim(t) == 0
+    if single and t == 0.0:
         return atom
-    area = coupling_area(profile, t)
-    n = np.arange(field.n_max + 1.0)
-    c_lo = np.cos(area * np.sqrt(n))
-    s_lo = np.sin(area * np.sqrt(n))
-    c_hi = np.cos(area * np.sqrt(n + 1.0))
-    s_hi = np.sin(area * np.sqrt(n + 1.0))
-    p = field.weights
-    ee = atom.rho_ee * float(p @ c_hi**2) + atom.rho_gg * float(p @ s_lo**2)
-    gg = atom.rho_ee * float(p @ s_hi**2) + atom.rho_gg * float(p @ c_lo**2)
-    eg = atom.rho_eg * float(p @ (c_lo * c_hi))
+    ee, gg, eg = _sector_sums(
+        atom.rho_ee,
+        atom.rho_gg,
+        atom.rho_eg,
+        field.weights,
+        np.atleast_1d(coupling_area(profile, t)),
+    )
     # The raw trace is (retained field mass) * tr(atom), short of 1 by the
     # truncated tail; condition on the retained sectors so the result is a
     # valid density matrix for any tail_epsilon.
     trace = ee + gg
-    return AtomDensityMatrix(ee / trace, gg / trace, eg / trace)
+    ee, gg, eg = ee / trace, gg / trace, eg / trace
+    if single:
+        return AtomDensityMatrix(ee[0], gg[0], eg[0])
+    return AtomDensityMatrix(ee, gg, eg)
 
 
-def excitation_expectation(state: JointPureState) -> float:
+def excitation_expectation(state: JointPureState):
     """Mean of the conserved excitation count n + sigma_z / 2."""
     n = np.arange(state.n_levels)
-    weight_e = (n + 0.5) @ np.abs(state.amps_e) ** 2
-    weight_g = (n - 0.5) @ np.abs(state.amps_g) ** 2
-    return float(weight_e + weight_g)
+    mean = np.abs(state.amps_e) ** 2 @ (n + 0.5) + np.abs(state.amps_g) ** 2 @ (
+        n - 0.5
+    )
+    return float(mean) if mean.ndim == 0 else mean

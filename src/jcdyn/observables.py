@@ -3,7 +3,8 @@
 Everything here reduces to the 2x2 atomic density matrix: inversion and the
 Bloch vector come straight from its entries, and the entanglement entropy
 needs only its eigenvalues because the joint state's Schmidt rank is at
-most 2.
+most 2. Each function takes a single state or a batch (see dynamics) and
+returns a number or a column, computed by the same array expressions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import ConstantCoupling, LinearCoupling, coupling_area
-from .dynamics import AtomDensityMatrix, JointPureState
+from .dynamics import (
+    AtomDensityMatrix,
+    JointPureState,
+    _first,
+    _sector_sums,
+)
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
 
@@ -22,28 +28,41 @@ _CLAMP_TOL = 1e-10
 _TIE_TOL = 1e-12
 
 
+def _as_floats(*values):
+    """Float columns for a batch, Python floats for a single state."""
+    if np.ndim(values[0]) == 1:
+        return tuple(np.asarray(v, dtype=float) for v in values)
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SchmidtData:
-    """Eigenvalues of the reduced atomic state, mu_plus >= mu_minus."""
+    """Eigenvalues of the reduced atomic state, mu_plus >= mu_minus.
+
+    In the batch form both fields are columns with one entry per time.
+    """
 
     mu_plus: float
     mu_minus: float
 
     def __post_init__(self):
-        mp_, mm = float(self.mu_plus), float(self.mu_minus)
+        mp_, mm = _as_floats(self.mu_plus, self.mu_minus)
         object.__setattr__(self, "mu_plus", mp_)
         object.__setattr__(self, "mu_minus", mm)
-        if not (math.isfinite(mp_) and math.isfinite(mm)):
+        if not np.all(np.isfinite(mp_) & np.isfinite(mm)):
             raise InvalidInputError("eigenvalues must be finite")
-        if not (0.0 <= mm <= mp_ <= 1.0):
+        if not np.all((0.0 <= mm) & (mm <= mp_) & (mp_ <= 1.0)):
             raise InvalidInputError("eigenvalues must satisfy 0 <= mu- <= mu+ <= 1")
-        if abs(mp_ + mm - 1.0) > _CLAMP_TOL:
+        if np.any(np.abs(mp_ + mm - 1.0) > _CLAMP_TOL):
             raise InvalidInputError("eigenvalues must sum to 1")
 
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Bloch components of the atomic state and the vector's modulus."""
+    """Bloch components of the atomic state and the vector's modulus.
+
+    In the batch form every field is a column with one entry per time.
+    """
 
     r_x: float
     r_y: float
@@ -51,17 +70,22 @@ class BlochVector:
     r: float
 
     def __post_init__(self):
-        vals = (self.r_x, self.r_y, self.r_z, self.r)
-        if not all(math.isfinite(float(v)) for v in vals):
+        vals = _as_floats(self.r_x, self.r_y, self.r_z, self.r)
+        for name, v in zip(("r_x", "r_y", "r_z", "r"), vals):
+            object.__setattr__(self, name, v)
+        r_x, r_y, r_z, r = vals
+        if not np.all(
+            np.isfinite(r_x) & np.isfinite(r_y) & np.isfinite(r_z) & np.isfinite(r)
+        ):
             raise InvalidInputError("Bloch components must be finite")
-        modulus = math.sqrt(self.r_x**2 + self.r_y**2 + self.r_z**2)
-        if abs(modulus - self.r) > 1e-12:
+        modulus = np.sqrt(r_x**2 + r_y**2 + r_z**2)
+        if np.any(np.abs(modulus - r) > 1e-12):
             raise InvalidInputError("modulus inconsistent with components")
-        if self.r > 1.0 + _CLAMP_TOL:
+        if np.any(r > 1.0 + _CLAMP_TOL):
             raise InvalidInputError("Bloch vector leaves the unit ball")
 
 
-def population_inversion(rho: AtomDensityMatrix) -> float:
+def population_inversion(rho: AtomDensityMatrix):
     """W = rho_ee - rho_gg, the mean of sigma_z."""
     return rho.rho_ee - rho.rho_gg
 
@@ -69,23 +93,22 @@ def population_inversion(rho: AtomDensityMatrix) -> float:
 def inversion_closed_form(field: PhotonDistribution, profile, t):
     """W(t) for an atom starting in |e>: sum_n P_n cos(2 A(t) sqrt(n+1)).
 
-    Accepts a scalar or an array of times; the doubled angle is the one
-    place the factor 2 enters the dynamics.
+    Accepts a scalar or an array of times. These are the raw sector sums of
+    the mixed evolution, not conditioned on the retained field mass.
     """
     area = coupling_area(profile, t)
-    scalar = np.ndim(area) == 0
-    area_arr = np.atleast_1d(np.asarray(area, dtype=float))
-    root = np.sqrt(np.arange(1.0, field.n_max + 2.0))
-    w = np.cos(2.0 * area_arr[:, None] * root) @ field.weights
-    return float(w[0]) if scalar else w
+    ee, gg, _ = _sector_sums(1.0, 0.0, 0.0, field.weights, np.atleast_1d(area))
+    w = ee - gg
+    return float(w[0]) if np.ndim(area) == 0 else w
 
 
-def coherence_xi(state: JointPureState) -> complex:
+def coherence_xi(state: JointPureState):
     """Cross-level overlap xi = sum_n conj(C_e,n) C_g,n.
 
     Note the conjugation order: the matrix element <e|rho|g> is conj(xi).
     """
-    return complex(np.vdot(state.amps_e, state.amps_g))
+    xi = np.sum(np.conj(state.amps_e) * state.amps_g, axis=-1)
+    return complex(xi) if xi.ndim == 0 else xi
 
 
 def reduced_atom(state: JointPureState) -> AtomDensityMatrix:
@@ -95,9 +118,9 @@ def reduced_atom(state: JointPureState) -> AtomDensityMatrix:
     tail_epsilon, so the matrix is conditioned on the retained levels to
     keep its trace at exactly 1.
     """
-    p_e = float(np.sum(np.abs(state.amps_e) ** 2))
-    p_g = float(np.sum(np.abs(state.amps_g) ** 2))
-    eg = complex(np.vdot(state.amps_g, state.amps_e))
+    p_e = np.sum(np.abs(state.amps_e) ** 2, axis=-1)
+    p_g = np.sum(np.abs(state.amps_g) ** 2, axis=-1)
+    eg = np.sum(np.conj(state.amps_g) * state.amps_e, axis=-1)
     total = p_e + p_g
     return AtomDensityMatrix(p_e / total, p_g / total, eg / total)
 
@@ -109,33 +132,36 @@ def atom_eigenvalues(rho: AtomDensityMatrix) -> SchmidtData:
     worse signals numerical failure upstream.
     """
     w = rho.rho_ee - rho.rho_gg
-    r = math.sqrt(w**2 + 4.0 * abs(rho.rho_eg) ** 2)
+    r = np.sqrt(w**2 + 4.0 * np.abs(rho.rho_eg) ** 2)
     mu_plus = 0.5 * (1.0 + r)
     mu_minus = 0.5 * (1.0 - r)
-    if mu_minus < -_CLAMP_TOL or mu_plus > 1.0 + _CLAMP_TOL:
+    bad = (mu_minus < -_CLAMP_TOL) | (mu_plus > 1.0 + _CLAMP_TOL)
+    if np.any(bad):
+        mp_, mm = _first(mu_plus, bad), _first(mu_minus, bad)
         raise NumericalFailureError(
-            f"eigenvalues ({mu_plus!r}, {mu_minus!r}) stray beyond [0, 1]",
-            estimate=mu_minus,
+            f"eigenvalues ({mp_!r}, {mm!r}) stray beyond [0, 1]", estimate=mm
         )
-    return SchmidtData(min(mu_plus, 1.0), max(mu_minus, 0.0))
+    return SchmidtData(np.minimum(mu_plus, 1.0), np.maximum(mu_minus, 0.0))
 
 
-def von_neumann_entropy(rho: AtomDensityMatrix) -> float:
+def _entropy_term(mu):
+    """mu log2 mu for clamped eigenvalues, with 0 log 0 = 0."""
+    return mu * np.log2(np.where(mu > 0.0, mu, 1.0))
+
+
+def von_neumann_entropy(rho: AtomDensityMatrix):
     """Entanglement entropy in bits, -sum mu log2 mu with 0 log 0 = 0."""
     data = atom_eigenvalues(rho)
-    s = 0.0
-    for mu in (data.mu_plus, data.mu_minus):
-        if mu > 0.0:
-            s -= mu * math.log2(mu)
-    return s
+    s = 0.0 - _entropy_term(data.mu_plus) - _entropy_term(data.mu_minus)
+    return float(s) if s.ndim == 0 else s
 
 
 def bloch_vector(rho: AtomDensityMatrix) -> BlochVector:
     """(r_x, r_y, r_z) = (2 Re rho_eg, -2 Im rho_eg, rho_ee - rho_gg)."""
-    r_x = 2.0 * rho.rho_eg.real
-    r_y = -2.0 * rho.rho_eg.imag
+    r_x = 2.0 * np.real(rho.rho_eg)
+    r_y = -2.0 * np.imag(rho.rho_eg)
     r_z = rho.rho_ee - rho.rho_gg
-    return BlochVector(r_x, r_y, r_z, math.sqrt(r_x**2 + r_y**2 + r_z**2))
+    return BlochVector(r_x, r_y, r_z, np.sqrt(r_x**2 + r_y**2 + r_z**2))
 
 
 def schmidt_state(state: JointPureState):

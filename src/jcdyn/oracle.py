@@ -16,8 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coupling import lambda_at
-from .dynamics import AtomDensityMatrix, AtomState, JointPureState
+from .coupling import _rate, lambda_at
+from .dynamics import (
+    AtomDensityMatrix,
+    AtomState,
+    JointPureState,
+    _initial_amplitudes,
+)
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
 
@@ -93,11 +98,14 @@ def _integrate_stack(blocks, y0, profile, t_grid, cfg):
     if y0.shape[0] == 0 or t_end == 0.0:
         return np.broadcast_to(y0, (grid.size,) + y0.shape).copy()
     coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
+    # Validate the profile on the whole span once; each stage then evaluates
+    # the same rate expressions unchecked.
+    lambda_at(profile, np.array([0.0, t_end]))
 
     def lam(t):
         # Solver stages can round a hair outside [0, t_end]; clamp so
         # tabulated profiles stay in range.
-        return lambda_at(profile, min(max(float(t), 0.0), t_end))
+        return float(_rate(profile, min(max(float(t), 0.0), t_end)))
 
     if cfg.method == ADAPTIVE:
 
@@ -161,28 +169,24 @@ def oracle_evolve_pure(
     profile,
     t_grid,
     config=DEFAULT_CONFIG,
-) -> list[JointPureState]:
-    """Numerically integrated counterpart of the closed-form pure evolution."""
+) -> JointPureState:
+    """Numerically integrated counterpart of the closed-form pure evolution.
+
+    Returns the batch form of JointPureState, one amplitude row per grid time.
+    """
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     grid = _check_grid(t_grid)
-    size = field.n_max + 2
-    e0 = np.zeros(size, dtype=complex)
-    g0 = np.zeros(size, dtype=complex)
-    e0[:-1] = atom.c_e * field.amplitudes
-    g0[:-1] = atom.c_g * field.amplitudes
-    blocks = np.arange(size - 1)
+    e0, g0 = _initial_amplitudes(atom, field)
+    blocks = np.arange(e0.size - 1)
     y0 = np.stack([e0[:-1], g0[1:]], axis=1)
     samples = _integrate_stack(blocks, y0, profile, grid, config)
-    states = []
-    for i, t in enumerate(grid):
-        e = np.zeros(size, dtype=complex)
-        g = np.zeros(size, dtype=complex)
-        e[:-1] = samples[i, :, 0]
-        g[1:] = samples[i, :, 1]
-        g[0] = g0[0]  # dark component, untouched by the interaction
-        states.append(JointPureState(e, g, float(t)))
-    return states
+    e = np.zeros((grid.size, e0.size), dtype=complex)
+    g = np.empty_like(e)
+    e[:, :-1] = samples[:, :, 0]
+    g[:, 1:] = samples[:, :, 1]
+    g[:, 0] = g0[0]  # dark component, untouched by the interaction
+    return JointPureState(e, g, grid)
 
 
 def oracle_evolve_mixed(
@@ -191,12 +195,13 @@ def oracle_evolve_mixed(
     profile,
     t_grid,
     config=DEFAULT_CONFIG,
-) -> list[AtomDensityMatrix]:
+) -> AtomDensityMatrix:
     """Numerically integrated counterpart of the closed-form mixed evolution.
 
     Diagonalizes the atomic state and propagates each eigenvector against
     every retained photon sector, then re-assembles the partial trace. All
-    sectors of all eigenvectors ride in a single solver call.
+    sectors of all eigenvectors ride in a single solver call. Returns the
+    batch form of AtomDensityMatrix, one row per grid time.
     """
     grid = _check_grid(t_grid)
     p = field.weights
@@ -253,10 +258,7 @@ def oracle_evolve_mixed(
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     trace = rho_ee + rho_gg
-    return [
-        AtomDensityMatrix(rho_ee[i] / trace[i], rho_gg[i] / trace[i], rho_eg[i] / trace[i])
-        for i in range(grid.size)
-    ]
+    return AtomDensityMatrix(rho_ee / trace, rho_gg / trace, rho_eg / trace)
 
 
 def compare_trajectories(a, b, times=None) -> DeviationReport:

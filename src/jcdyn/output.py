@@ -27,10 +27,6 @@ _PALETTE = (
 )
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def format_csv(table) -> str:
     """CSV text for a result table: header row, LF endings.
 
@@ -46,9 +42,10 @@ def format_csv(table) -> str:
     if table.sweep_parameter is not None:
         header = ["sweep_param"] + header
         prefix = table.sweep_parameter + ","
+    # "%.17g" renders a float exactly as format(value, ".17g") does.
+    row = prefix.replace("%", "%%") + ",".join(["%.17g"] * table.data.shape[1])
     lines = [",".join(header)]
-    for row in table.data:
-        lines.append(prefix + ",".join(_fmt(v) for v in row))
+    lines.extend(row % tuple(values) for values in table.data.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +67,11 @@ _OUTPUT_COLUMNS = {
 }
 
 ORACLE_DEVIATION_LIMIT = 1e-6
+
+# Each chunk of the time grid holds at most this many (time, level) entries,
+# about 1 MB per complex temporary however wide the field; a field with more
+# levels than half of it gets one time point per chunk.
+_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -500,59 +503,54 @@ def _sweep_case(scenario, value):
     return field, profile
 
 
-def _observable_columns(outputs, rhos, states):
+def _observable_columns(outputs, rho, states):
+    """Output columns from a batch of reduced states (and joint states)."""
     cols = {}
-    bloch = None
     if "bloch" in outputs or "purity" in outputs:
-        bloch = [bloch_vector(r) for r in rhos]
+        bloch = bloch_vector(rho)
     for name in outputs:
         if name == "inversion":
-            cols["W"] = np.array([population_inversion(r) for r in rhos])
+            cols["W"] = population_inversion(rho)
         elif name == "entropy":
-            cols["S"] = np.array([von_neumann_entropy(r) for r in rhos])
+            cols["S"] = von_neumann_entropy(rho)
         elif name == "bloch":
-            cols["Rx"] = np.array([b.r_x for b in bloch])
-            cols["Ry"] = np.array([b.r_y for b in bloch])
-            cols["Rz"] = np.array([b.r_z for b in bloch])
+            cols["Rx"], cols["Ry"], cols["Rz"] = bloch.r_x, bloch.r_y, bloch.r_z
         elif name == "purity":
-            cols["R"] = np.array([b.r for b in bloch])
+            cols["R"] = bloch.r
         elif name == "coherence":
-            xi = np.array([coherence_xi(s) for s in states])
-            cols["xi_re"] = xi.real
-            cols["xi_im"] = xi.imag
+            xi = coherence_xi(states)
+            cols["xi_re"], cols["xi_im"] = xi.real, xi.imag
         else:
-            eig = [atom_eigenvalues(r) for r in rhos]
-            cols["mu_plus"] = np.array([e.mu_plus for e in eig])
-            cols["mu_minus"] = np.array([e.mu_minus for e in eig])
+            eig = atom_eigenvalues(rho)
+            cols["mu_plus"], cols["mu_minus"] = eig.mu_plus, eig.mu_minus
     return cols
 
 
 def _evolve_case(scenario, field_spec, profile, grid, oracle_config):
     dist = field_spec.build(scenario.tail_epsilon)
     atom_state = scenario.atom.to_state()
-    if field_spec.is_pure:
-        states = [evolve_pure(atom_state, dist, profile, float(t)) for t in grid]
-        rhos = [reduced_atom(s) for s in states]
-    else:
-        states = None
-        rho0 = AtomDensityMatrix.from_atom_state(atom_state)
-        rhos = [evolve_mixed(rho0, dist, profile, float(t)) for t in grid]
-    cols = _observable_columns(scenario.outputs, rhos, states)
+    rho0 = AtomDensityMatrix.from_atom_state(atom_state)
+    rows = max(1, _CHUNK_ELEMENTS // (dist.n_max + 2))
+    chunks = []
+    for start in range(0, grid.size, rows):
+        times = grid[start : start + rows]
+        if field_spec.is_pure:
+            states = evolve_pure(atom_state, dist, profile, times)
+            rho = reduced_atom(states)
+        else:
+            states = None
+            rho = evolve_mixed(rho0, dist, profile, times)
+        chunks.append(_observable_columns(scenario.outputs, rho, states))
+    cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
     if not scenario.oracle_check:
         return cols, None
     if field_spec.is_pure:
         o_states = oracle_evolve_pure(atom_state, dist, profile, grid, oracle_config)
-        o_rhos = [reduced_atom(s) for s in o_states]
+        o_rho = reduced_atom(o_states)
     else:
         o_states = None
-        o_rhos = oracle_evolve_mixed(
-            AtomDensityMatrix.from_atom_state(atom_state),
-            dist,
-            profile,
-            grid,
-            oracle_config,
-        )
-    o_cols = _observable_columns(scenario.outputs, o_rhos, o_states)
+        o_rho = oracle_evolve_mixed(rho0, dist, profile, grid, oracle_config)
+    o_cols = _observable_columns(scenario.outputs, o_rho, o_states)
     dev = {f"dev_{k}": np.abs(cols[k] - o_cols[k]) for k in cols}
     return cols, dev
 
@@ -560,10 +558,11 @@ def _evolve_case(scenario, field_spec, profile, grid, oracle_config):
 def run(scenario: Scenario, oracle_config=DEFAULT_CONFIG) -> ResultTable:
     """Evaluate a scenario into a flat table, sweeps stacked lengthwise.
 
-    Sweep values evaluate concurrently (each case is an independent pile of
-    numpy work) but rows always assemble in sweep-value-then-time order.
-    With ``oracle_check`` set, each observable column gains a ``dev_``
-    companion holding the absolute gap to the reference integrator.
+    Each case walks the time grid in chunks of batched closed-form work,
+    and sweep cases run one after another, so rows assemble in
+    sweep-value-then-time order. With ``oracle_check`` set, each observable
+    column gains a ``dev_`` companion holding the absolute gap to the
+    reference integrator.
     """
     grid = np.linspace(0.0, scenario.t_end, scenario.steps)
     if scenario.sweep is None:
@@ -573,21 +572,10 @@ def run(scenario: Scenario, oracle_config=DEFAULT_CONFIG) -> ResultTable:
             (float(v), *_sweep_case(scenario, v)) for v in scenario.sweep.values
         ]
 
-    if len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(cases), os.cpu_count() or 1)) as pool:
-            results = list(
-                pool.map(
-                    lambda case: _evolve_case(
-                        scenario, case[1], case[2], grid, oracle_config
-                    ),
-                    cases,
-                )
-            )
-    else:
-        results = [
-            _evolve_case(scenario, field_spec, profile, grid, oracle_config)
-            for _, field_spec, profile in cases
-        ]
+    results = [
+        _evolve_case(scenario, field_spec, profile, grid, oracle_config)
+        for _, field_spec, profile in cases
+    ]
 
     value_names = None
     blocks = []

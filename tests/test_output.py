@@ -63,6 +63,27 @@ def test_csv_sweep_layout():
     assert lines[3].startswith("mean_n,2,")
 
 
+@pytest.mark.parametrize("sweep", (None, "mean_n", "odd%sname"))
+def test_csv_matches_per_cell_formatting(sweep):
+    values = np.array(
+        [
+            [0.0, -0.0, 5e-324, 0.1],
+            [1e16, 1e17, -1e17, 1.0 / 3.0],
+            [2.5e-300, -7.0, 123456789.123, 1e300],
+        ]
+    )
+    columns = ("t", "W", "S", "R")
+    prefix = ""
+    if sweep is not None:
+        columns = ("sweep_value",) + columns[1:]
+        prefix = sweep + ","
+    table = ResultTable(columns=columns, data=values, sweep_parameter=sweep)
+    expected = [
+        prefix + ",".join(format(float(v), ".17g") for v in row) for row in values
+    ]
+    assert format_csv(table).splitlines()[1:] == expected
+
+
 def test_csv_rejects_bad_tables():
     with pytest.raises(InvalidInputError):
         format_csv(ResultTable(columns=("t",), data=np.empty((0, 1))))
