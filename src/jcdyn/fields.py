@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidInputError
 
 DEFAULT_TAIL_EPSILON = 1e-12
 
-# Chunk size for the incremental coherent-state truncation search.
-_CHUNK = 64
+# Most photon levels a field may keep (2^22, 32 MiB per float column).
+# Fields are checked against it before any level array is allocated.
+MAX_LEVELS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,44 @@ def _check_tail(tail_epsilon):
         raise InvalidInputError("tail_epsilon must lie in (0, 1)")
 
 
+def _check_levels(levels, what):
+    if levels > MAX_LEVELS:
+        raise InvalidInputError(
+            f"{what} needs about {levels:.3g} photon levels, "
+            f"more than the budget of {MAX_LEVELS}"
+        )
+
+
+def _poisson_log_mode(a2, m):
+    """log P_m of a Poisson law with mean a2 at its mode m = floor(a2).
+
+    Small m takes lgamma directly. Large m uses Stirling's series with
+    f = a2 - m, in a form free of cancellation between m log a2 and
+    lgamma(m + 1); the first omitted term is about 1e-16 at m = 16.
+    """
+    if m < 16:
+        return -a2 + m * math.log(a2) - math.lgamma(m + 1.0)
+    f = a2 - m
+    r = 1.0 / (m * m)
+    series = (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r / 1188)))) / m
+    return -f + m * math.log1p(f / m) - 0.5 * math.log(2.0 * math.pi * m) - series
+
+
 def coherent_amplitudes(alpha, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistribution:
     """Truncated number-basis expansion of a coherent state.
 
-    C_n = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!), evaluated in log space so
-    large |alpha| cannot overflow the factorial. n_max is the smallest index
-    whose discarded Poisson tail stays below ``tail_epsilon``.
+    C_n = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!). The log Poisson weights are
+    anchored at the mode and filled outwards by cumulative sums of
+    log(|alpha|^2 / n), so large |alpha| neither overflows nor loses the
+    mass to rounding. n_max is the smallest index whose cumulative mass
+    exceeds 1 - ``tail_epsilon``, judged on the discarded upper tail.
     """
     _check_tail(tail_epsilon)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidInputError("alpha must be finite")
-    a2 = abs(alpha) ** 2
+    modulus = abs(alpha)
+    a2 = modulus * modulus  # inf rather than OverflowError past 1e154
     if a2 == 0.0:
         return PhotonDistribution(
             kind="coherent",
@@ -101,23 +127,23 @@ def coherent_amplitudes(alpha, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistr
             mean_n=0.0,
             tail_epsilon=tail_epsilon,
         )
-    phase = cmath.phase(alpha)
-    target = 1.0 - tail_epsilon
-    # Grow the retained range chunk by chunk until the cumulative Poisson
-    # mass crosses 1 - tail_epsilon.
-    upper = _CHUNK
-    while True:
-        n = np.arange(upper)
-        log_p = -a2 + n * math.log(a2) - gammaln(n + 1.0)
-        cum = np.cumsum(np.exp(log_p))
-        hits = np.nonzero(cum > target)[0]
-        if hits.size:
-            n_max = int(hits[0])
-            break
-        upper += max(_CHUNK, upper // 2)
+    # Bernstein's bound puts the Poisson mass above a2 + t under exp(-L),
+    # here tail_epsilon * 2^-53: levels past ``top`` cannot move the cutoff.
+    big_l = 37.0 - math.log(tail_epsilon)
+    t = big_l / 3.0 + math.sqrt(big_l * big_l / 9.0 + 2.0 * big_l * a2)
+    _check_levels(a2 + t + 1.0, f"a coherent field with |alpha| = {modulus:g}")
+    top = math.ceil(a2 + t)
+    m = math.floor(a2)
+    steps = np.log(a2 / np.arange(1.0, top + 1.0))  # log(P_n / P_{n-1})
+    log_p = np.empty(top + 1)
+    log_p[m] = _poisson_log_mode(a2, m)
+    log_p[m + 1 :] = log_p[m] + np.cumsum(steps[m:])
+    log_p[:m] = log_p[m] - np.cumsum(steps[:m][::-1])[::-1]
+    # tail[n] = sum of P_k over n < k <= top, summed from the small end
+    tail = np.append(np.cumsum(np.exp(log_p[:0:-1]))[::-1], 0.0)
+    n_max = int(np.argmax(tail < tail_epsilon))
     n = np.arange(n_max + 1)
-    log_p = -a2 + n * math.log(a2) - gammaln(n + 1.0)
-    amps = np.exp(0.5 * log_p + 1j * phase * n)
+    amps = np.exp(0.5 * log_p[: n_max + 1] + 1j * cmath.phase(alpha) * n)
     return PhotonDistribution(
         kind="coherent",
         weights=np.abs(amps) ** 2,
@@ -150,7 +176,10 @@ def thermal_weights(mean_n, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistribu
         )
     q = mean_n / (1.0 + mean_n)
     log_q = math.log(q)
-    n_max = max(0, math.ceil(math.log(tail_epsilon) / log_q) - 1)
+    # q rounds to 1 for mean_n beyond ~1e16: no finite cutoff.
+    levels = math.log(tail_epsilon) / log_q if log_q < 0.0 else math.inf
+    _check_levels(levels, f"a thermal field with mean_n = {mean_n:g}")
+    n_max = max(0, math.ceil(levels) - 1)
     # Guard against rounding in the closed form: enforce q^(n_max+1) < eps
     # with n_max minimal.
     while q ** (n_max + 1) >= tail_epsilon:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coupling import _rate, lambda_at
 from .dynamics import (
@@ -71,6 +70,13 @@ class DeviationReport:
     max_abs: float
     at_time: float
     rms: float
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: only the oracle needs scipy."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _check_grid(t_grid):

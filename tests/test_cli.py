@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,39 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(path), "--svg", "nope"]) == 2
     assert "unknown column" in capsys.readouterr().err
     assert cli.main(["run", str(path), "--svg", "W:S:R"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field", [{"thermal": 1e9}, {"coherent": 1e5}], ids=["thermal", "coherent"]
+)
+def test_field_over_level_budget_exits_2(tmp_path, capsys, field):
+    path = write_scenario(tmp_path, dict(BASIC, field=field))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "budget" in err
+    assert err.count("\n") == 1
+
+
+def test_run_without_oracle_loads_no_scipy():
+    code = """
+import json, sys
+import jcdyn, jcdyn.cli
+scenario = jcdyn.parse_scenario(json.loads(sys.argv[1]))
+table = jcdyn.run(scenario)
+print(json.dumps([table.data.shape[0], sorted(sys.modules)]))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(BASIC)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows, modules = json.loads(proc.stdout)
+    assert rows == BASIC["time"]["steps"]
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_predict_revival_constant(tmp_path, capsys):

@@ -1,15 +1,24 @@
 """Photon statistics: truncation bounds, reference values, validation."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jcdyn
 from jcdyn import (
     InvalidInputError,
+    PhotonDistribution,
     coherent_amplitudes,
     custom_distribution,
     mean_n_from_temperature,
@@ -53,6 +62,77 @@ def test_coherent_mass_within_tail_bound():
         assert 1.0 - d.tail_epsilon <= total <= 1.0 + 1e-13
         # dropping the last level must cross below the bound (minimality)
         assert math.fsum(d.weights[:-1]) <= 1.0 - d.tail_epsilon + 1e-13
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.5, 1.7 * cmath.exp(0.4j), 10.0, 30.0, 100.0, 180.0], ids=str
+)
+def test_coherent_matches_mpmath_weights_and_cutoff(alpha):
+    # 40-digit Poisson weights by recurrence; the cutoff is the first n whose
+    # exact upper tail is below the bound
+    eps = 1e-12
+    d = coherent_amplitudes(alpha, tail_epsilon=eps)
+    with mpmath.workdps(40):
+        a2 = mpmath.mpf(abs(complex(alpha))) ** 2
+        p = mpmath.exp(-a2)
+        mass, n, worst, n_max = mpmath.mpf(0), 0, 0.0, None
+        while n_max is None or n <= d.n_max:
+            if p > 1e-30:
+                assert n <= d.n_max, f"weight {float(p):.3e} at n={n} was cut"
+                worst = max(worst, abs(float((d.weights[n] - p) / p)))
+            mass += p
+            if n_max is None and 1 - mass < eps:
+                n_max = n
+            n += 1
+            p *= a2 / n
+    assert d.n_max == n_max
+    assert worst <= 1e-12
+
+
+def test_coherent_search_ends_at_large_alpha():
+    # In a child process with a time limit and an address-space cap, so a
+    # search that never ends fails here instead of hanging the suite or
+    # exhausting memory.
+    code = """
+import json, math, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jcdyn import coherent_amplitudes
+out = []
+for alpha in (180.0, 250.0):
+    start = time.perf_counter()
+    d = coherent_amplitudes(alpha)
+    out.append([type(d).__name__, math.fsum(d.weights), d.tail_epsilon,
+                time.perf_counter() - start])
+print(json.dumps(out))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(jcdyn.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, total, eps, seconds in json.loads(proc.stdout):
+        assert name == PhotonDistribution.__name__
+        assert 1.0 - eps <= total <= 1.0 + 1e-12
+        assert seconds < 2.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: thermal_weights(1e9), lambda: coherent_amplitudes(1e5)],
+    ids=["thermal", "coherent"],
+)
+def test_level_budget_refuses_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="budget"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coherent_amplitudes_square_to_weights():

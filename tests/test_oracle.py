@@ -227,3 +227,40 @@ def test_oracle_validates_the_span_once():
     short = CustomCoupling(times=(0.0, 1.0), values=(1.0, 1.0))
     with pytest.raises(OutOfRangeError):
         integrate_block(0, (1.0, 0.0), short, [0.0, 2.0])
+
+
+def test_oracle_calls_solve_ivp_once_per_trajectory(tmp_path, monkeypatch, capsys):
+    # scipy's solver is imported on first use, but it stays reachable as the
+    # module attribute jcdyn.oracle.solve_ivp, called with y0 third.
+    import json
+
+    import jcdyn.cli as cli
+    from jcdyn import oracle
+
+    calls = []
+    original = oracle.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(np.asarray(args[2]).copy())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    doc = {
+        "atom": "excited",
+        "field": {"coherent": 1.5},
+        "profile": {"sech": {"lambda0": 1.0, "zeta2": 0.3}},
+        "time": {"t_end": 6.0, "steps": 31},
+        "outputs": ["inversion", "entropy"],
+        "sweep": {"parameter": "lambda0", "values": [0.8, 1.2]},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(path)]) == 0
+    worst = float(capsys.readouterr().out.split("overall max deviation:")[1])
+    assert worst < 1e-7
+    amps = coherent_amplitudes(1.5).amplitudes
+    assert len(calls) == 2  # one trajectory per sweep case
+    for y0 in calls:
+        # excited atom: block n starts in |e,n> with the field amplitude C_n
+        np.testing.assert_array_equal(y0[0::2], amps)
+        np.testing.assert_array_equal(y0[1::2], 0.0)
