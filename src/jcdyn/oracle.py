@@ -5,7 +5,10 @@ general-purpose ODE solver, sampling lambda(t) pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
-once per trajectory.
+once per trajectory. Every block starts at its physical amplitude, the
+field amplitude C_n on the pure path and sqrt(w_k p_n) phi_k for mixture
+member k on the mixed path, so the solver tolerances act on physical
+amplitudes on both paths.
 """
 
 from __future__ import annotations
@@ -114,10 +117,10 @@ def _integrate_stack(blocks, y0, profile, t_grid, cfg):
         return float(_rate(profile, min(max(float(t), 0.0), t_end)))
 
     if cfg.method == ADAPTIVE:
+        pair_coef = np.repeat(coef, 2).reshape(-1, 2)
 
         def rhs(t, y):
-            pairs = y.reshape(-1, 2)
-            return (lam(t) * coef[:, None] * pairs[:, ::-1]).ravel()
+            return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
 
         sol = solve_ivp(
             rhs,
@@ -206,22 +209,25 @@ def oracle_evolve_mixed(
 
     Diagonalizes the atomic state and propagates each eigenvector against
     every retained photon sector, then re-assembles the partial trace. All
-    sectors of all eigenvectors ride in a single solver call. Returns the
-    batch form of AtomDensityMatrix, one row per grid time.
+    sectors of all eigenvectors ride in a single solver call. Member
+    phi_k (x) |n> starts at its physical amplitude sqrt(w_k p_n) phi_k, so
+    the solver tolerances act on physical amplitudes, as on the pure path,
+    and each rho element is a plain sum over the rows. Returns the batch
+    form of AtomDensityMatrix, one row per grid time.
     """
     grid = _check_grid(t_grid)
-    p = field.weights
     n_max = field.n_max
+    root_p = np.sqrt(field.weights)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
-    members = []  # (weight, phi_e, phi_g, e_rows slice, g_rows slice)
+    members = []  # (dark |g,0> amplitude, e_rows slice, g_rows slice)
     blocks = []
-    y0_rows = []
+    y0 = []
 
-    def push(block_ids, pairs):
-        start = len(blocks)
-        blocks.extend(block_ids)
-        y0_rows.extend(pairs)
-        return slice(start, len(blocks))
+    def push(block_ids, e, g):
+        start = sum(b.size for b in blocks)
+        blocks.append(block_ids)
+        y0.append(np.stack(np.broadcast_arrays(e, g), axis=1))
+        return slice(start, start + block_ids.size)
 
     for k in range(2):
         w_k = float(vals[k])
@@ -230,37 +236,34 @@ def oracle_evolve_mixed(
         if w_k <= _EIGENWEIGHT_FLOOR:
             continue
         phi_e, phi_g = complex(vecs[0, k]), complex(vecs[1, k])
-        e_slice = g_slice = None
+        amp = math.sqrt(w_k) * root_p  # sqrt(w_k p_n), n = 0 .. n_max
+        e_rows = g_rows = None
         if phi_e != 0:
-            e_slice = push(range(n_max + 1), [(phi_e, 0.0)] * (n_max + 1))
+            e_rows = push(np.arange(n_max + 1), phi_e * amp, 0.0)
         if phi_g != 0 and n_max >= 1:
-            g_slice = push(range(n_max), [(0.0, phi_g)] * n_max)
-        members.append((w_k, phi_e, phi_g, e_slice, g_slice))
+            # block n pairs |e,n> with |g,n+1>, which carries p_{n+1}
+            g_rows = push(np.arange(n_max), 0.0, phi_g * amp[1:])
+        members.append((phi_g * amp[0], e_rows, g_rows))
 
-    if y0_rows:
-        samples = _integrate_stack(blocks, y0_rows, profile, grid, config)
+    if y0:
+        samples = _integrate_stack(
+            np.concatenate(blocks), np.concatenate(y0), profile, grid, config
+        )
     else:
         samples = np.zeros((grid.size, 0, 2), dtype=complex)
 
-    rho_ee = np.zeros(grid.size)
-    rho_gg = np.zeros(grid.size)
+    power = np.abs(samples) ** 2
+    rho_ee = power[:, :, 0].sum(axis=1)
+    rho_gg = power[:, :, 1].sum(axis=1)
     rho_eg = np.zeros(grid.size, dtype=complex)
-    for w_k, phi_e, phi_g, e_slice, g_slice in members:
-        a = np.zeros((grid.size, n_max + 1), dtype=complex)
-        b = np.zeros_like(a)
-        c = np.zeros_like(a)
-        d = np.zeros_like(a)
-        if e_slice is not None:
-            a = samples[:, e_slice, 0]
-            b = samples[:, e_slice, 1]
-        if phi_g != 0:
-            d[:, 0] = phi_g  # |g,0> is dark: constant amplitude
-            if g_slice is not None:
-                c[:, 1:] = samples[:, g_slice, 0]
-                d[:, 1:] = samples[:, g_slice, 1]
-        rho_ee += w_k * ((np.abs(a) ** 2 + np.abs(c) ** 2) @ p)
-        rho_gg += w_k * ((np.abs(b) ** 2 + np.abs(d) ** 2) @ p)
-        rho_eg += w_k * ((a * d.conjugate()) @ p)
+    for dark, e_rows, g_rows in members:
+        rho_gg += abs(dark) ** 2  # |g,0> is dark: constant amplitude
+        if e_rows is None:
+            continue
+        a = samples[:, e_rows, 0]
+        rho_eg += a[:, 0] * dark.conjugate()
+        if g_rows is not None:
+            rho_eg += (a[:, 1:] * samples[:, g_rows, 1].conj()).sum(axis=1)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     trace = rho_ee + rho_gg

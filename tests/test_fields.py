@@ -274,3 +274,17 @@ def test_thermal_truncation_property(mean, eps):
         assert q ** (d.n_max + 1) < eps
         if d.n_max > 0:
             assert q**d.n_max >= eps
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [coherent_amplitudes(a) for a in (10.0, 30.0, 100.0, 180.0)]
+    + [thermal_weights(m) for m in (5.0, 1000.0)],
+    ids=["alpha10", "alpha30", "alpha100", "alpha180", "thermal5", "thermal1000"],
+)
+def test_weight_total_matches_full_fsum(dist):
+    # The sum check skips weights below 2^-80 of the largest; what it skips
+    # must not show in the total.
+    from jcdyn.fields import _weight_total
+
+    assert abs(_weight_total(dist.weights) - math.fsum(dist.weights)) <= 1e-17

@@ -1,6 +1,7 @@
 """Reference integrator: frozen values, convergence order, cross-checks."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from jcdyn import (
     IntegratorConfig,
     InvalidInputError,
     LinearCoupling,
+    Scenario,
     SechCoupling,
     SinusoidalCoupling,
     coherent_amplitudes,
@@ -25,6 +27,7 @@ from jcdyn import (
     integrate_block,
     oracle_evolve_mixed,
     oracle_evolve_pure,
+    run,
     thermal_weights,
 )
 from jcdyn.oracle import RK4
@@ -215,8 +218,17 @@ def test_unchecked_rate_keeps_trajectories_bit_identical(monkeypatch):
         return out
 
     fast = trajectories()
-    monkeypatch.setattr(oracle, "_rate", reference_rate)
+    calls = Counter()
+
+    def counted_rate(profile, t):
+        calls[profile] += 1
+        return reference_rate(profile, t)
+
+    monkeypatch.setattr(oracle, "_rate", counted_rate)
     reference = trajectories()
+    # The patched rate must really have driven every profile's stages.
+    for prof in profiles:
+        assert calls[prof] > 0, prof
     for a, b in zip(fast, reference):
         np.testing.assert_array_equal(a, b)
 
@@ -264,3 +276,62 @@ def test_oracle_calls_solve_ivp_once_per_trajectory(tmp_path, monkeypatch, capsy
         # excited atom: block n starts in |e,n> with the field amplitude C_n
         np.testing.assert_array_equal(y0[0::2], amps)
         np.testing.assert_array_equal(y0[1::2], 0.0)
+
+
+def test_mixed_oracle_starts_members_at_physical_amplitudes(monkeypatch):
+    # A thermal field under a 9-point table, as `jcdyn compare` sees it.
+    # Member (k, n) starts at sqrt(w_k p_n) phi_k: the start vector holds the
+    # retained mass, and the n ~ 150 blocks, weighted ~1e-12, do not set the
+    # adaptive step. Started at unit amplitude, they cost about 18,000 stages.
+    from jcdyn import oracle
+    from jcdyn.scenario import AtomSpec, FieldSpec
+
+    calls = []
+    original = oracle.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        calls.append((np.asarray(args[2]).copy(), sol))
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    times = tuple(40.0 * i / 8 for i in range(9))
+    values = (1.0, 0.93, 1.06, 0.97, 1.09, 0.91, 1.03, 0.95, 1.08)
+    table = run(
+        Scenario(
+            atom=AtomSpec(kind="plus_x"),
+            field=FieldSpec(kind="thermal", mean_n=5.0),
+            profile=CustomCoupling(times=times, values=values),
+            t_end=40.0,
+            steps=401,
+            outputs=("inversion", "entropy", "bloch", "purity"),
+            oracle_check=True,
+        )
+    )
+    assert table.max_oracle_deviation < 1e-7
+    assert len(calls) == 1
+    y0, sol = calls[0]
+    p = thermal_weights(5.0).weights
+    assert y0.size == 2 * (2 * p.size - 1)  # 303 rows: e-member and g-member
+    # plus_x is one member, w = 1 and |phi_g|^2 = 1/2; |g,0> stays out of y0
+    dark = 0.5 * p[0]
+    assert abs(math.fsum(np.abs(y0) ** 2) + dark - math.fsum(p)) < 1e-14
+    assert sol.nfev <= 12_000
+
+
+def test_mixed_oracle_wide_thermal_field():
+    # mean_n = 200 keeps 5,541 photon levels: 11,081 rows in one solve.
+    from jcdyn.scenario import AtomSpec, FieldSpec
+
+    table = run(
+        Scenario(
+            atom=AtomSpec(kind="plus_x"),
+            field=FieldSpec(kind="thermal", mean_n=200.0),
+            profile=SinusoidalCoupling(1.0, 0.5),
+            t_end=10.0,
+            steps=201,
+            outputs=("inversion", "entropy", "bloch", "purity"),
+            oracle_check=True,
+        )
+    )
+    assert table.max_oracle_deviation < 1e-9
