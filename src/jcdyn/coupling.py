@@ -7,11 +7,9 @@ covers tabulated profiles and doubles as an independent cross-check of the
 closed forms.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -21,68 +19,145 @@ from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError
 _PANEL_BUDGET = 2**20
 
 
-def _require_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise InvalidInputError(f"{name} must be a finite positive number")
+def check_parameter(field, value):
+    """Reject a value outside the bound the type of a profile field sets.
+
+    A ``float`` field takes a finite number > 0 and an ``int`` field an
+    integer >= 1; bools are refused as either.
+    """
+    if isinstance(value, bool):
+        ok = False
+    elif field.type is int:
+        ok = isinstance(value, int) and value >= 1
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    if not ok:
+        bound = "an integer >= 1" if field.type is int else "a finite positive number"
+        raise InvalidInputError(f"{field.name} must be {bound}")
 
 
-@dataclass(frozen=True)
-class ConstantCoupling:
-    """lambda(t) = lambda0."""
+def scalar_fields(profile):
+    """A profile's parameters by name: its ``float`` and ``int`` fields.
 
-    lambda0: float
+    Takes a profile class or an instance.
+    """
+    return {f.name: f for f in fields(profile) if f.type in (float, int)}
+
+
+class _Profile:
+    """What every coupling profile shares.
+
+    Each subclass is a frozen dataclass naming its JSON ``key`` and giving
+    ``rate(t)`` and ``area(t)`` as array expressions over checked times.
+    Its ``float`` and ``int`` fields are its scalar parameters; the scenario
+    codec reads, writes and sweeps them by name.
+    """
+
+    t_max = math.inf  # last time the profile is defined at
 
     def __post_init__(self):
-        _require_positive("lambda0", self.lambda0)
+        for name, field in scalar_fields(self).items():
+            check_parameter(field, getattr(self, name))
+
+    def revival(self, mean_n):
+        """Predicted revival instant for a field of mean photon number
+        ``mean_n``, or None when no closed form exists."""
+        return None
+
+    def seed_edges(self, t):
+        """Initial panel edges on [0, t] for the adaptive quadrature."""
+        n0 = min(8, max(1, math.ceil(t)))
+        return list(np.linspace(0.0, t, n0 + 1))
 
 
 @dataclass(frozen=True)
-class LinearCoupling:
+class ConstantCoupling(_Profile):
+    """lambda(t) = lambda0."""
+
+    key = "constant"
+    lambda0: float
+
+    def rate(self, t):
+        return np.full_like(t, self.lambda0)
+
+    def area(self, t):
+        return self.lambda0 * t
+
+    def revival(self, mean_n):
+        """Collapse-revival time 2 pi sqrt(mean_n) / lambda0."""
+        return 2.0 * math.pi * math.sqrt(mean_n) / self.lambda0
+
+
+@dataclass(frozen=True)
+class LinearCoupling(_Profile):
     """lambda(t) = lambda0 * zeta1 * t."""
 
+    key = "linear"
     lambda0: float
     zeta1: float
 
-    def __post_init__(self):
-        _require_positive("lambda0", self.lambda0)
-        _require_positive("zeta1", self.zeta1)
+    def rate(self, t):
+        return self.lambda0 * self.zeta1 * t
+
+    def area(self, t):
+        return 0.5 * self.lambda0 * self.zeta1 * t**2
+
+    def revival(self, mean_n):
+        """Revival time 2 sqrt(pi sqrt(mean_n) / (lambda0 zeta1))."""
+        return 2.0 * math.sqrt(
+            math.pi * math.sqrt(mean_n) / (self.lambda0 * self.zeta1)
+        )
 
 
 @dataclass(frozen=True)
-class SechCoupling:
+class SechCoupling(_Profile):
     """lambda(t) = lambda0 * sech(zeta2 * t), a pulse that switches off."""
 
+    key = "sech"
     lambda0: float
     zeta2: float
 
-    def __post_init__(self):
-        _require_positive("lambda0", self.lambda0)
-        _require_positive("zeta2", self.zeta2)
+    def rate(self, t):
+        return self.lambda0 / np.cosh(self.zeta2 * t)
+
+    def area(self, t):
+        # gd(x) = arctan(sinh(x)) written as 2*arctan(tanh(x/2)) so large
+        # zeta2*t cannot overflow sinh.
+        x = self.zeta2 * t
+        return (self.lambda0 / self.zeta2) * 2.0 * np.arctan(np.tanh(0.5 * x))
 
 
 @dataclass(frozen=True)
-class SinusoidalCoupling:
+class SinusoidalCoupling(_Profile):
     """lambda(t) = lambda0 * sin(p * zeta3 * t) with integer harmonic p."""
 
+    key = "sinusoidal"
     lambda0: float
     zeta3: float
     p: int = 1
 
-    def __post_init__(self):
-        _require_positive("lambda0", self.lambda0)
-        _require_positive("zeta3", self.zeta3)
-        if not (isinstance(self.p, int) and not isinstance(self.p, bool) and self.p >= 1):
-            raise InvalidInputError("p must be an integer >= 1")
+    def rate(self, t):
+        return self.lambda0 * np.sin(self.p * self.zeta3 * t)
+
+    def area(self, t):
+        k = self.p * self.zeta3
+        return self.lambda0 * (1.0 - np.cos(k * t)) / k
+
+    def seed_edges(self, t):
+        period = 2.0 * math.pi / (self.p * self.zeta3)
+        n0 = min(4096, max(1, math.ceil(4.0 * t / period)))
+        return list(np.linspace(0.0, t, n0 + 1))
 
 
 @dataclass(frozen=True)
-class CustomCoupling:
+class CustomCoupling(_Profile):
     """Piecewise-linear lambda(t) through tabulated (time, value) points.
 
     Times must start at 0 and increase strictly; queries beyond the last
     tabulated time are rejected rather than extrapolated.
     """
 
+    key = "custom"
     times: tuple
     values: tuple
 
@@ -102,6 +177,10 @@ class CustomCoupling:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
+    @property
+    def t_max(self):
+        return self.times[-1]
+
     @cached_property
     def _t(self):
         return np.asarray(self.times)
@@ -116,49 +195,47 @@ class CustomCoupling:
         seg = 0.5 * (self._v[:-1] + self._v[1:]) * np.diff(self._t)
         return np.concatenate(([0.0], np.cumsum(seg)))
 
+    def rate(self, t):
+        return np.interp(t, self._t, self._v)
 
-CouplingProfile = (
-    ConstantCoupling
-    | LinearCoupling
-    | SechCoupling
-    | SinusoidalCoupling
-    | CustomCoupling
+    def area(self, t):
+        idx = np.searchsorted(self._t, t, side="right") - 1
+        idx = np.clip(idx, 0, len(self.times) - 2)
+        t0 = self._t[idx]
+        return self._cum_area[idx] + 0.5 * (self._v[idx] + self.rate(t)) * (t - t0)
+
+    def seed_edges(self, t):
+        return [0.0] + [x for x in self.times if 0.0 < x < t] + [t]
+
+
+PROFILES = (
+    ConstantCoupling,
+    LinearCoupling,
+    SechCoupling,
+    SinusoidalCoupling,
+    CustomCoupling,
 )
 
 
-def _as_times(t):
+def _as_times(profile, t):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("t must be finite")
     if np.any(arr < 0.0):
         raise InvalidInputError("t must be non-negative")
+    if np.any(arr > profile.t_max):
+        raise OutOfRangeError(f"t beyond tabulated range [0, {profile.t_max}]")
     return arr
-
-
-def _check_range(profile, arr):
-    if isinstance(profile, CustomCoupling) and np.any(arr > profile.times[-1]):
-        raise OutOfRangeError(f"t beyond tabulated range [0, {profile.times[-1]}]")
 
 
 def _rate(profile, t):
     """lambda(t) at times already checked by lambda_at; no validation."""
-    if isinstance(profile, ConstantCoupling):
-        return np.full_like(t, profile.lambda0)
-    if isinstance(profile, LinearCoupling):
-        return profile.lambda0 * profile.zeta1 * t
-    if isinstance(profile, SechCoupling):
-        return profile.lambda0 / np.cosh(profile.zeta2 * t)
-    if isinstance(profile, SinusoidalCoupling):
-        return profile.lambda0 * np.sin(profile.p * profile.zeta3 * t)
-    if isinstance(profile, CustomCoupling):
-        return np.interp(t, profile._t, profile._v)
-    raise InvalidInputError(f"unknown coupling profile {type(profile).__name__}")
+    return profile.rate(t)
 
 
 def lambda_at(profile, t):
     """Coupling rate lambda(t). Accepts a scalar or an array of times."""
-    arr = _as_times(t)
-    _check_range(profile, arr)
+    arr = _as_times(profile, t)
     out = _rate(profile, arr)
     return out if arr.ndim else float(out)
 
@@ -166,30 +243,16 @@ def lambda_at(profile, t):
 def coupling_area(profile, t):
     """Accumulated area A(t) = integral of lambda from 0 to t, closed form.
 
-    Accepts a scalar or an array of times.
+    Accepts a scalar or an array of times. Parameters so large that the
+    area overflows raise InvalidInputError naming the first such time.
     """
-    arr = _as_times(t)
-    if isinstance(profile, ConstantCoupling):
-        out = profile.lambda0 * arr
-    elif isinstance(profile, LinearCoupling):
-        out = 0.5 * profile.lambda0 * profile.zeta1 * arr**2
-    elif isinstance(profile, SechCoupling):
-        # gd(x) = arctan(sinh(x)) written as 2*arctan(tanh(x/2)) so large
-        # zeta2*t cannot overflow sinh.
-        x = profile.zeta2 * arr
-        out = (profile.lambda0 / profile.zeta2) * 2.0 * np.arctan(np.tanh(0.5 * x))
-    elif isinstance(profile, SinusoidalCoupling):
-        k = profile.p * profile.zeta3
-        out = profile.lambda0 * (1.0 - np.cos(k * arr)) / k
-    elif isinstance(profile, CustomCoupling):
-        _check_range(profile, arr)
-        idx = np.searchsorted(profile._t, arr, side="right") - 1
-        idx = np.clip(idx, 0, len(profile.times) - 2)
-        t0 = profile._t[idx]
-        lam_t = np.interp(arr, profile._t, profile._v)
-        out = profile._cum_area[idx] + 0.5 * (profile._v[idx] + lam_t) * (arr - t0)
-    else:
-        raise InvalidInputError(f"unknown coupling profile {type(profile).__name__}")
+    arr = _as_times(profile, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = profile.area(arr)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        first = float(np.atleast_1d(arr)[np.atleast_1d(bad)][0])
+        raise InvalidInputError(f"coupling area is not finite at t = {first!r}")
     return out if arr.ndim else float(out)
 
 
@@ -242,18 +305,6 @@ def _panel(profile, a, b):
     return k15, err
 
 
-def _seed_edges(profile, t):
-    if isinstance(profile, CustomCoupling):
-        inner = [x for x in profile.times if 0.0 < x < t]
-        return [0.0] + inner + [t]
-    if isinstance(profile, SinusoidalCoupling):
-        period = 2.0 * math.pi / (profile.p * profile.zeta3)
-        n0 = min(4096, max(1, math.ceil(4.0 * t / period)))
-    else:
-        n0 = min(8, max(1, math.ceil(t)))
-    return list(np.linspace(0.0, t, n0 + 1))
-
-
 def coupling_area_numeric(profile, t, tol=1e-10):
     """A(t) by global-adaptive Gauss-Kronrod quadrature of lambda.
 
@@ -263,16 +314,14 @@ def coupling_area_numeric(profile, t, tol=1e-10):
     """
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-3):
         raise InvalidInputError("tol must lie in (0, 1e-3]")
-    arr = _as_times(t)
+    arr = _as_times(profile, t)
     if arr.ndim:
         raise InvalidInputError("t must be a scalar")
     t = float(arr)
-    if isinstance(profile, CustomCoupling) and t > profile.times[-1]:
-        raise OutOfRangeError(f"t beyond tabulated range [0, {profile.times[-1]}]")
     if t == 0.0:
         return 0.0
 
-    edges = _seed_edges(profile, t)
+    edges = profile.seed_edges(t)
     heap = []
     tick = 0  # heap tiebreaker; keeps popping order deterministic
     total = 0.0

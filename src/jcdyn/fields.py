@@ -145,7 +145,9 @@ def coherent_amplitudes(alpha, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistr
     _check_levels(a2 + t + 1.0, f"a coherent field with |alpha| = {modulus:g}")
     top = math.ceil(a2 + t)
     m = math.floor(a2)
-    steps = np.log(a2 / np.arange(1.0, top + 1.0))  # log(P_n / P_{n-1})
+    # log(P_n / P_{n-1}); a subnormal a2 / n can round to 0, giving P_n = 0.
+    with np.errstate(divide="ignore"):
+        steps = np.log(a2 / np.arange(1.0, top + 1.0))
     log_p = np.empty(top + 1)
     log_p[m] = _poisson_log_mode(a2, m)
     log_p[m + 1 :] = log_p[m] + np.cumsum(steps[m:])

@@ -9,12 +9,11 @@ returns a number or a column, computed by the same array expressions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import ConstantCoupling, LinearCoupling, coupling_area
+from .coupling import coupling_area
 from .dynamics import (
     AtomDensityMatrix,
     JointPureState,
@@ -194,17 +193,8 @@ def schmidt_state(state: JointPureState):
 
 
 def revival_time(field: PhotonDistribution, profile) -> float | None:
-    """Predicted revival instant, or None when no closed form exists.
-
-    Constant coupling revives near 2 pi sqrt(mean_n) / lambda0; a linear
-    ramp squeezes that to 2 sqrt(pi sqrt(mean_n) / (lambda0 zeta1)).
-    """
+    """Predicted revival instant, or None when the profile has no closed
+    form for it (see each profile's ``revival``)."""
     if not field.mean_n > 0.0:
         raise InvalidInputError("revival prediction needs mean_n > 0")
-    if isinstance(profile, ConstantCoupling):
-        return 2.0 * math.pi * math.sqrt(field.mean_n) / profile.lambda0
-    if isinstance(profile, LinearCoupling):
-        return 2.0 * math.sqrt(
-            math.pi * math.sqrt(field.mean_n) / (profile.lambda0 * profile.zeta1)
-        )
-    return None
+    return profile.revival(field.mean_n)

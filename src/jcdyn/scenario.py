@@ -12,24 +12,18 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .coupling import (
-    ConstantCoupling,
-    CustomCoupling,
-    LinearCoupling,
-    SechCoupling,
-    SinusoidalCoupling,
-)
+from .coupling import PROFILES, check_parameter, scalar_fields
 from .dynamics import (
     AtomDensityMatrix,
     AtomState,
     evolve_mixed,
     evolve_pure,
 )
-from .errors import ScenarioError
+from .errors import InvalidInputError, ScenarioError
 from .fields import (
     DEFAULT_TAIL_EPSILON,
     coherent_amplitudes,
@@ -55,7 +49,10 @@ OUTPUT_CHOICES = (
     "eigenvalues",
 )
 DEFAULT_OUTPUTS = ("inversion", "entropy", "bloch", "purity")
-SWEEP_PARAMETERS = ("mean_n", "lambda0", "zeta1", "zeta2", "zeta3", "p")
+SWEEP_PARAMETERS = ("mean_n",) + tuple(
+    dict.fromkeys(name for cls in PROFILES for name in scalar_fields(cls))
+)
+_PROFILE_BY_KEY = {cls.key: cls for cls in PROFILES}
 
 _OUTPUT_COLUMNS = {
     "inversion": ("W",),
@@ -174,7 +171,7 @@ def _check_keys(obj, path, required, optional=()):
             _err(path, f"missing key {key!r}")
 
 
-def _real(value, path, *, minimum=None, exclusive=False, maximum=None):
+def _real(value, path, *, minimum=None, exclusive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _err(path, "expected a number")
     value = float(value)
@@ -185,8 +182,6 @@ def _real(value, path, *, minimum=None, exclusive=False, maximum=None):
             _err(path, f"must be > {minimum}")
         if not exclusive and value < minimum:
             _err(path, f"must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        _err(path, f"must be <= {maximum}")
     return value
 
 
@@ -270,48 +265,41 @@ def _parse_field(node, path):
     _err(path, f"unknown field kind {key!r}")
 
 
+def _parameter(field, value, path):
+    """A profile parameter from JSON, bounded by the profile's own check."""
+    if field.type is tuple:
+        if not isinstance(value, list):
+            _err(path, "expected a list")
+        return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
+    try:
+        check_parameter(field, value)
+    except InvalidInputError as exc:
+        _err(path, str(exc))
+    return field.type(value)
+
+
 def _parse_coupling(node, path):
     node = _require_mapping(node, path)
     if len(node) != 1:
         _err(path, "expected exactly one coupling kind")
     key = next(iter(node))
-    body = _require_mapping(node[key], f"{path}.{key}")
     p = f"{path}.{key}"
-    if key == "constant":
-        _check_keys(body, p, required=("lambda0",))
-        return ConstantCoupling(_real(body["lambda0"], f"{p}.lambda0", minimum=0.0, exclusive=True))
-    if key == "linear":
-        _check_keys(body, p, required=("lambda0", "zeta1"))
-        return LinearCoupling(
-            _real(body["lambda0"], f"{p}.lambda0", minimum=0.0, exclusive=True),
-            _real(body["zeta1"], f"{p}.zeta1", minimum=0.0, exclusive=True),
-        )
-    if key == "sech":
-        _check_keys(body, p, required=("lambda0", "zeta2"))
-        return SechCoupling(
-            _real(body["lambda0"], f"{p}.lambda0", minimum=0.0, exclusive=True),
-            _real(body["zeta2"], f"{p}.zeta2", minimum=0.0, exclusive=True),
-        )
-    if key == "sinusoidal":
-        _check_keys(body, p, required=("lambda0", "zeta3"), optional=("p",))
-        return SinusoidalCoupling(
-            _real(body["lambda0"], f"{p}.lambda0", minimum=0.0, exclusive=True),
-            _real(body["zeta3"], f"{p}.zeta3", minimum=0.0, exclusive=True),
-            _integer(body.get("p", 1), f"{p}.p", minimum=1),
-        )
-    if key == "custom":
-        _check_keys(body, p, required=("times", "values"))
-        times = body["times"]
-        values = body["values"]
-        if not (isinstance(times, list) and isinstance(values, list)):
-            _err(p, "times and values must be lists")
-        t = tuple(_real(v, f"{p}.times[{i}]") for i, v in enumerate(times))
-        v = tuple(_real(x, f"{p}.values[{i}]") for i, x in enumerate(values))
-        try:
-            return CustomCoupling(t, v)
-        except ValueError as exc:
-            _err(p, str(exc))
-    _err(path, f"unknown coupling kind {key!r}")
+    body = _require_mapping(node[key], p)
+    cls = _PROFILE_BY_KEY.get(key)
+    if cls is None:
+        _err(path, f"unknown coupling kind {key!r}")
+    params = fields(cls)
+    required = [f.name for f in params if f.default is MISSING]
+    _check_keys(body, p, required, [f.name for f in params if f.name not in required])
+    kwargs = {
+        f.name: _parameter(f, body[f.name], f"{p}.{f.name}")
+        for f in params
+        if f.name in body
+    }
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as exc:
+        _err(p, str(exc))
 
 
 def _parse_sweep(node, path, field, profile):
@@ -320,36 +308,23 @@ def _parse_sweep(node, path, field, profile):
     parameter = node["parameter"]
     if parameter not in SWEEP_PARAMETERS:
         _err(f"{path}.parameter", f"unknown sweep parameter {parameter!r}")
-    raw = node["values"]
-    if not (isinstance(raw, list) and raw):
-        _err(f"{path}.values", "expected a non-empty list")
-    if parameter == "p":
-        values = tuple(
-            _integer(v, f"{path}.values[{i}]", minimum=1) for i, v in enumerate(raw)
-        )
-    elif parameter == "mean_n":
-        values = tuple(
-            _real(v, f"{path}.values[{i}]", minimum=0.0) for i, v in enumerate(raw)
-        )
-    else:
-        values = tuple(
-            _real(v, f"{path}.values[{i}]", minimum=0.0, exclusive=True)
-            for i, v in enumerate(raw)
-        )
+    swept = scalar_fields(profile).get(parameter)
     if parameter == "mean_n" and field.kind not in ("coherent", "thermal"):
         _err(f"{path}.parameter", "mean_n sweep needs a coherent or thermal field")
-    needs = {
-        "lambda0": (ConstantCoupling, LinearCoupling, SechCoupling, SinusoidalCoupling),
-        "zeta1": (LinearCoupling,),
-        "zeta2": (SechCoupling,),
-        "zeta3": (SinusoidalCoupling,),
-        "p": (SinusoidalCoupling,),
-    }
-    if parameter in needs and not isinstance(profile, needs[parameter]):
+    if parameter != "mean_n" and swept is None:
         _err(
             f"{path}.parameter",
             f"{parameter!r} does not apply to this coupling profile",
         )
+    raw = node["values"]
+    if not (isinstance(raw, list) and raw):
+        _err(f"{path}.values", "expected a non-empty list")
+    values = tuple(
+        _real(v, f"{path}.values[{i}]", minimum=0.0)
+        if swept is None
+        else _parameter(swept, v, f"{path}.values[{i}]")
+        for i, v in enumerate(raw)
+    )
     return SweepSpec(parameter=parameter, values=values)
 
 
@@ -414,8 +389,8 @@ def parse_scenario(source) -> Scenario:
     if "sweep" in doc:
         sweep = _parse_sweep(doc["sweep"], "sweep", field, profile)
 
-    if isinstance(profile, CustomCoupling) and profile.times[-1] < t_end:
-        _err("profile.custom.times", "table ends before time.t_end")
+    if profile.t_max < t_end:
+        _err(f"profile.{profile.key}.times", "table ends before time.t_end")
 
     return Scenario(
         atom=atom,
@@ -456,24 +431,7 @@ def serialize(scenario: Scenario) -> str:
             "custom": {"amplitudes": [_complex_json(a) for a in field.amplitudes]}
         }
     prof = scenario.profile
-    if isinstance(prof, ConstantCoupling):
-        doc["profile"] = {"constant": {"lambda0": prof.lambda0}}
-    elif isinstance(prof, LinearCoupling):
-        doc["profile"] = {"linear": {"lambda0": prof.lambda0, "zeta1": prof.zeta1}}
-    elif isinstance(prof, SechCoupling):
-        doc["profile"] = {"sech": {"lambda0": prof.lambda0, "zeta2": prof.zeta2}}
-    elif isinstance(prof, SinusoidalCoupling):
-        doc["profile"] = {
-            "sinusoidal": {
-                "lambda0": prof.lambda0,
-                "zeta3": prof.zeta3,
-                "p": prof.p,
-            }
-        }
-    else:
-        doc["profile"] = {
-            "custom": {"times": list(prof.times), "values": list(prof.values)}
-        }
+    doc["profile"] = {prof.key: {f.name: getattr(prof, f.name) for f in fields(prof)}}
     doc["time"] = {"t_end": scenario.t_end, "steps": scenario.steps}
     doc["outputs"] = list(scenario.outputs)
     doc["tail_epsilon"] = scenario.tail_epsilon
@@ -496,8 +454,6 @@ def _sweep_case(scenario, value):
         else:
             phase = cmath.phase(field.alpha) if field.alpha != 0 else 0.0
             field = replace(field, alpha=cmath.rect(math.sqrt(value), phase))
-    elif param == "p":
-        profile = replace(profile, p=value)
     else:
         profile = replace(profile, **{param: value})
     return field, profile

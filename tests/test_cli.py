@@ -112,6 +112,29 @@ def test_field_over_level_budget_exits_2(tmp_path, capsys, field):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "field", [{"coherent": 2}, {"thermal": 0.5}], ids=["coherent", "thermal"]
+)
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"linear": {"lambda0": 1, "zeta1": 1e308}},
+        {"constant": {"lambda0": 1e308}},
+        {"sinusoidal": {"lambda0": 1, "zeta3": 1e308, "p": 3}},
+        {"sech": {"lambda0": 1e308, "zeta2": 1e-308}},
+    ],
+    ids=["linear", "constant", "sinusoidal", "sech"],
+)
+def test_overflowing_coupling_area_exits_2(tmp_path, capsys, field, profile):
+    doc = dict(BASIC, field=field, profile=profile, time={"t_end": 5, "steps": 4})
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: coupling area is not finite at t = ")
+    assert err.count("\n") == 1
+
+
 def test_run_without_oracle_loads_no_scipy():
     code = """
 import json, sys

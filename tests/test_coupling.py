@@ -24,6 +24,15 @@ from jcdyn import (
 
 TABLE = CustomCoupling(times=(0.0, 1.0, 3.0, 4.0), values=(0.0, 2.0, 2.0, 0.0))
 
+# One instance of every class in PROFILES, with a time inside its domain.
+EXAMPLES = {
+    ConstantCoupling: (ConstantCoupling(1.0), 50.0),
+    LinearCoupling: (LinearCoupling(1.0, 0.16), 50.0),
+    SechCoupling: (SechCoupling(1.0, 0.3), 50.0),
+    SinusoidalCoupling: (SinusoidalCoupling(1.0, 1.0, p=1), 50.0),
+    CustomCoupling: (TABLE, 3.9),
+}
+
 
 def test_constant_and_linear_closed_forms():
     assert lambda_at(ConstantCoupling(2.0), 7.5) == 2.0
@@ -103,6 +112,14 @@ def test_parameter_validation():
         SinusoidalCoupling(1.0, 1.0, p=0)
     with pytest.raises(InvalidInputError):
         SinusoidalCoupling(1.0, 1.0, p=1.5)
+    for make in (
+        lambda: ConstantCoupling(True),
+        lambda: LinearCoupling(1.0, False),
+        lambda: SinusoidalCoupling(1.0, True),
+        lambda: SinusoidalCoupling(1.0, 1.0, p=True),
+    ):
+        with pytest.raises(InvalidInputError):
+            make()
 
 
 def test_negative_time_rejected():
@@ -136,14 +153,8 @@ def test_array_evaluation_matches_scalars():
 
 
 def test_quadrature_agrees_with_closed_forms():
-    cases = [
-        (ConstantCoupling(1.0), 50.0),
-        (LinearCoupling(1.0, 0.16), 50.0),
-        (SechCoupling(1.0, 0.3), 50.0),
-        (SinusoidalCoupling(1.0, 1.0, p=1), 50.0),
-        (SinusoidalCoupling(2.0, 3.0, p=7), 37.7),
-        (TABLE, 3.9),
-    ]
+    cases = [EXAMPLES[cls] for cls in coupling_mod.PROFILES]
+    cases.append((SinusoidalCoupling(2.0, 3.0, p=7), 37.7))
     for prof, t in cases:
         numeric = coupling_area_numeric(prof, t, tol=1e-12)
         assert numeric == pytest.approx(coupling_area(prof, t), abs=5e-12)

@@ -56,7 +56,8 @@ def test_coherent_cutoff_matches_direct_tail_summation():
 
 
 def test_coherent_mass_within_tail_bound():
-    for alpha in (0.3, 1.0, 2.5, 5.0):
+    # at 5e-162, |alpha|^2 is subnormal and |alpha|^2 / n rounds to 0
+    for alpha in (5e-162, 0.3, 1.0, 2.5, 5.0):
         d = coherent_amplitudes(alpha)
         total = math.fsum(d.weights)
         assert 1.0 - d.tail_epsilon <= total <= 1.0 + 1e-13

@@ -16,6 +16,7 @@ from jcdyn import (
     run,
     serialize,
 )
+from jcdyn.coupling import PROFILES
 from jcdyn.scenario import AtomSpec, FieldSpec
 
 MINIMAL = {
@@ -160,7 +161,24 @@ def test_sweep_validation():
     ) == "sweep.values[0]"
 
 
+# The canonical profile node that serialize writes for each class in PROFILES.
+PROFILE_NODES = {
+    "constant": {"constant": {"lambda0": 1.0}},
+    "linear": {"linear": {"lambda0": 1.0, "zeta1": 0.16}},
+    "sech": {"sech": {"lambda0": 2.0, "zeta2": 0.3}},
+    "sinusoidal": {"sinusoidal": {"lambda0": 1.0, "zeta3": 0.5, "p": 1}},
+    "custom": {"custom": {"times": [0.0, 1.0, 4.0], "values": [0.0, 2.0, 1.0]}},
+}
+
+
 def test_round_trip_identity():
+    for cls in PROFILES:
+        node = PROFILE_NODES[cls.key]
+        s = parse_scenario(scen(profile=node))
+        assert isinstance(s.profile, cls)
+        # repr tells 1 from 1.0 and pins the key order
+        assert repr(json.loads(serialize(s))["profile"]) == repr(node)
+        assert parse_scenario(serialize(s)) == s
     scenarios = [
         parse_scenario(MINIMAL),
         parse_scenario(
