@@ -21,7 +21,6 @@ from .dynamics import (
     AtomDensityMatrix,
     AtomState,
     JointPureState,
-    block_angle,
     evolve_mixed,
     evolve_pure,
     excitation_expectation,
@@ -36,7 +35,6 @@ from .fields import (
     PhotonDistribution,
     coherent_amplitudes,
     custom_distribution,
-    mean_n_from_temperature,
     thermal_weights,
 )
 from .observables import (
@@ -49,13 +47,10 @@ from .observables import (
     population_inversion,
     reduced_atom,
     revival_time,
-    schmidt_state,
     von_neumann_entropy,
 )
 from .oracle import (
-    DeviationReport,
     IntegratorConfig,
-    compare_trajectories,
     integrate_block,
     oracle_evolve_mixed,
     oracle_evolve_pure,
@@ -80,7 +75,6 @@ __all__ = [
     "BlochVector",
     "ConstantCoupling",
     "CustomCoupling",
-    "DeviationReport",
     "FieldSpec",
     "IntegratorConfig",
     "InvalidInputError",
@@ -98,10 +92,8 @@ __all__ = [
     "SweepSpec",
     "atom_eigenvalues",
     "bloch_vector",
-    "block_angle",
     "coherence_xi",
     "coherent_amplitudes",
-    "compare_trajectories",
     "coupling_area",
     "coupling_area_numeric",
     "custom_distribution",
@@ -111,7 +103,6 @@ __all__ = [
     "integrate_block",
     "inversion_closed_form",
     "lambda_at",
-    "mean_n_from_temperature",
     "oracle_evolve_mixed",
     "oracle_evolve_pure",
     "parse_scenario",
@@ -119,7 +110,6 @@ __all__ = [
     "reduced_atom",
     "revival_time",
     "run",
-    "schmidt_state",
     "serialize",
     "thermal_weights",
     "von_neumann_entropy",

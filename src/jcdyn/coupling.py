@@ -9,6 +9,7 @@ closed forms.
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -22,18 +23,19 @@ _PANEL_BUDGET = 2**20
 def check_parameter(field, value):
     """Reject a value outside the bound the type of a profile field sets.
 
-    A ``float`` field takes a finite number > 0 and an ``int`` field an
-    integer >= 1; bools are refused as either.
+    A ``float`` field takes a number > 0 and an ``int`` field an integer
+    >= 1, either no larger than the largest float, so that profile
+    arithmetic never meets an int it cannot convert; bools are refused.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         ok = False
     elif field.type is int:
-        ok = isinstance(value, int) and value >= 1
+        ok = isinstance(value, int) and 1 <= value <= sys.float_info.max
     else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        ok = 0 < value <= sys.float_info.max
     if not ok:
-        bound = "an integer >= 1" if field.type is int else "a finite positive number"
-        raise InvalidInputError(f"{field.name} must be {bound}")
+        kind = "an integer >= 1" if field.type is int else "a positive number"
+        raise InvalidInputError(f"{field.name} must be {kind} within float range")
 
 
 def scalar_fields(profile):

@@ -192,15 +192,6 @@ class AtomDensityMatrix:
         return m
 
 
-def block_angle(n, area) -> float:
-    """Rotation angle area * sqrt(n + 1) of the (|e,n>, |g,n+1>) block."""
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
-        raise InvalidInputError("n must be a non-negative integer")
-    if not (isinstance(area, (int, float)) and math.isfinite(area)):
-        raise InvalidInputError("area must be a finite number")
-    return float(area) * math.sqrt(n + 1.0)
-
-
 def _check_times(t):
     """One time as a float, or a batch of times as a 1-D float array."""
     if np.ndim(t) == 1:
@@ -226,13 +217,24 @@ def _initial_amplitudes(atom: AtomState, field: PhotonDistribution):
     return e0, g0
 
 
+def _angles(area, k_min, k_end):
+    """Angles area * sqrt(k), k = k_min .. k_end - 1, one row per area; the
+    widest is checked first, so overflow raises before the (T, N) product."""
+    top = float(np.max(np.abs(area), initial=0.0))
+    if not math.isfinite(top * math.sqrt(k_end - 1)):
+        raise InvalidInputError(
+            f"block angle A*sqrt(n+1) overflows at A = {top!r}, n = {k_end - 2}"
+        )
+    return area[:, None] * np.sqrt(np.arange(k_min, k_end))
+
+
 def _rotate_blocks(e0, g0, area):
     """Amplitudes after block n turns by area * sqrt(n+1): two (Tc, size) arrays.
 
     Block n mixes e0[n] with g0[n+1], the off-diagonal picking up -i; the
     dark amplitude g0[0] stays put and the top slot of e stays empty.
     """
-    theta = area[:, None] * np.sqrt(np.arange(1.0, e0.size))
+    theta = _angles(area, 1.0, e0.size)
     c = np.cos(theta)
     s = np.sin(theta)
     e_re, e_im = e0.real[:-1], e0.imag[:-1]
@@ -260,7 +262,7 @@ def _sector_sums(rho_ee, rho_gg, rho_eg, weights, area):
     sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). ``area`` is a 1-D array;
     each result has one entry per area.
     """
-    theta = area[:, None] * np.sqrt(np.arange(weights.size + 1.0))
+    theta = _angles(area, 0.0, weights.size + 1)
     c = np.cos(theta)
     s = np.sin(theta)
     c_lo, c_hi = c[:, :-1], c[:, 1:]

@@ -210,22 +210,6 @@ def thermal_weights(mean_n, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistribu
     )
 
 
-def mean_n_from_temperature(frequency_over_kT) -> float:
-    """Bose-Einstein mean occupation for a mode at the given h*nu/kT ratio.
-
-    Uses expm1 so small ratios (high temperature) do not lose precision to
-    cancellation.
-    """
-    if not (
-        isinstance(frequency_over_kT, (int, float))
-        and math.isfinite(frequency_over_kT)
-    ):
-        raise InvalidInputError("frequency_over_kT must be a finite number")
-    if frequency_over_kT <= 0.0:
-        raise InvalidInputError("frequency_over_kT must be positive")
-    return 1.0 / math.expm1(frequency_over_kT)
-
-
 def custom_distribution(
     weights=None, amplitudes=None, tail_epsilon=DEFAULT_TAIL_EPSILON
 ) -> PhotonDistribution:

@@ -24,7 +24,6 @@ from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
 
 _CLAMP_TOL = 1e-10
-_TIE_TOL = 1e-12
 
 
 def _as_floats(*values):
@@ -161,35 +160,6 @@ def bloch_vector(rho: AtomDensityMatrix) -> BlochVector:
     r_y = -2.0 * np.imag(rho.rho_eg)
     r_z = rho.rho_ee - rho.rho_gg
     return BlochVector(r_x, r_y, r_z, np.sqrt(r_x**2 + r_y**2 + r_z**2))
-
-
-def schmidt_state(state: JointPureState):
-    """Eigenvalues and orthonormal eigenvectors of the reduced atom.
-
-    Returns (SchmidtData, (v_plus, v_minus)) with each vector a length-2
-    complex array in the (|e>, |g>) basis, largest component rotated to be
-    real and non-negative. A degenerate pair falls back to the basis
-    vectors so the output stays deterministic.
-    """
-    rho = reduced_atom(state)
-    data = atom_eigenvalues(rho)
-    a, d, b = rho.rho_ee, rho.rho_gg, rho.rho_eg
-    if data.mu_plus - data.mu_minus <= _TIE_TOL or b == 0:
-        up = np.array([1.0 + 0.0j, 0.0j])
-        down = np.array([0.0j, 1.0 + 0.0j])
-        return data, ((up, down) if a >= d else (down, up))
-    # Two algebraically equivalent eigenvector forms; keep the larger one
-    # for stability when mu+ nearly coincides with a diagonal entry.
-    cand1 = np.array([b, data.mu_plus - a], dtype=complex)
-    cand2 = np.array([data.mu_plus - d, b.conjugate()], dtype=complex)
-    v_plus = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-    v_plus = v_plus / np.linalg.norm(v_plus)
-    lead = v_plus[np.argmax(np.abs(v_plus))]
-    v_plus = v_plus * (lead.conjugate() / abs(lead))
-    v_minus = np.array([-v_plus[1].conjugate(), v_plus[0].conjugate()])
-    lead = v_minus[np.argmax(np.abs(v_minus))]
-    v_minus = v_minus * (lead.conjugate() / abs(lead))
-    return data, (v_plus, v_minus)
 
 
 def revival_time(field: PhotonDistribution, profile) -> float | None:

@@ -66,15 +66,6 @@ class IntegratorConfig:
 DEFAULT_CONFIG = IntegratorConfig()
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Pointwise disagreement between two trajectories."""
-
-    max_abs: float
-    at_time: float
-    rms: float
-
-
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on first use: only the oracle needs scipy."""
     from scipy.integrate import solve_ivp
@@ -269,29 +260,3 @@ def oracle_evolve_mixed(
     trace = rho_ee + rho_gg
     return AtomDensityMatrix(rho_ee / trace, rho_gg / trace, rho_eg / trace)
 
-
-def compare_trajectories(a, b, times=None) -> DeviationReport:
-    """Largest and root-mean-square pointwise gap between two trajectories.
-
-    ``a`` and ``b`` are equal-shape arrays with time along the first axis;
-    ``times`` (optional) labels that axis for the report.
-    """
-    x = np.asarray(a, dtype=complex)
-    y = np.asarray(b, dtype=complex)
-    if x.shape != y.shape or x.size == 0:
-        raise InvalidInputError("trajectories must share a non-empty shape")
-    diff = np.abs(x - y).reshape(x.shape[0], -1)
-    per_time = diff.max(axis=1)
-    idx = int(np.argmax(per_time))
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        if times.shape != (x.shape[0],):
-            raise InvalidInputError("times must match the trajectory length")
-        at = float(times[idx])
-    else:
-        at = float(idx)
-    return DeviationReport(
-        max_abs=float(per_time[idx]),
-        at_time=at,
-        rms=float(np.sqrt(np.mean(diff**2))),
-    )

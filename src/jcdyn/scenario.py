@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .observables import (
     reduced_atom,
     von_neumann_entropy,
 )
-from .oracle import DEFAULT_CONFIG, oracle_evolve_mixed, oracle_evolve_pure
+from .oracle import oracle_evolve_mixed, oracle_evolve_pure
 
 OUTPUT_CHOICES = (
     "inversion",
@@ -54,21 +55,16 @@ SWEEP_PARAMETERS = ("mean_n",) + tuple(
 )
 _PROFILE_BY_KEY = {cls.key: cls for cls in PROFILES}
 
-_OUTPUT_COLUMNS = {
-    "inversion": ("W",),
-    "entropy": ("S",),
-    "bloch": ("Rx", "Ry", "Rz"),
-    "purity": ("R",),
-    "coherence": ("xi_re", "xi_im"),
-    "eigenvalues": ("mu_plus", "mu_minus"),
-}
-
 ORACLE_DEVIATION_LIMIT = 1e-6
 
 # Each chunk of the time grid holds at most this many (time, level) entries,
 # about 1 MB per complex temporary however wide the field; a field with more
 # levels than half of it gets one time point per chunk.
 _CHUNK_ELEMENTS = 2**16
+
+# Most time points a scenario may ask for (2^22, 32 MiB per float column of
+# the result table), checked at parse time before the grid is allocated.
+MAX_STEPS = 2**22
 
 
 @dataclass(frozen=True)
@@ -174,9 +170,9 @@ def _check_keys(obj, path, required, optional=()):
 def _real(value, path, *, minimum=None, exclusive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _err(path, "expected a number")
-    value = float(value)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # inf, nan or an int beyond float
         _err(path, "must be finite")
+    value = float(value)
     if minimum is not None:
         if exclusive and value <= minimum:
             _err(path, f"must be > {minimum}")
@@ -354,6 +350,8 @@ def parse_scenario(source) -> Scenario:
         _err("time.t_start", "only 0 is supported")
     t_end = _real(time_node["t_end"], "time.t_end", minimum=0.0, exclusive=True)
     steps = _integer(time_node["steps"], "time.steps", minimum=2)
+    if steps > MAX_STEPS:
+        _err("time.steps", f"must be <= {MAX_STEPS}")
 
     outputs = DEFAULT_OUTPUTS
     if "outputs" in doc:
@@ -482,36 +480,33 @@ def _observable_columns(outputs, rho, states):
     return cols
 
 
-def _evolve_case(scenario, field_spec, profile, grid, oracle_config):
+def _evolve_case(scenario, field_spec, profile, grid):
+    """Observable columns of one case, each with a ``dev_`` companion
+    appended when the oracle checks the case."""
     dist = field_spec.build(scenario.tail_epsilon)
     atom_state = scenario.atom.to_state()
     rho0 = AtomDensityMatrix.from_atom_state(atom_state)
-    rows = max(1, _CHUNK_ELEMENTS // (dist.n_max + 2))
-    chunks = []
-    for start in range(0, grid.size, rows):
-        times = grid[start : start + rows]
+
+    def columns(pure, mixed, times):
         if field_spec.is_pure:
-            states = evolve_pure(atom_state, dist, profile, times)
-            rho = reduced_atom(states)
-        else:
-            states = None
-            rho = evolve_mixed(rho0, dist, profile, times)
-        chunks.append(_observable_columns(scenario.outputs, rho, states))
+            states = pure(atom_state, dist, profile, times)
+            return _observable_columns(scenario.outputs, reduced_atom(states), states)
+        rho = mixed(rho0, dist, profile, times)
+        return _observable_columns(scenario.outputs, rho, None)
+
+    rows = max(1, _CHUNK_ELEMENTS // (dist.n_max + 2))
+    chunks = [
+        columns(evolve_pure, evolve_mixed, grid[start : start + rows])
+        for start in range(0, grid.size, rows)
+    ]
     cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-    if not scenario.oracle_check:
-        return cols, None
-    if field_spec.is_pure:
-        o_states = oracle_evolve_pure(atom_state, dist, profile, grid, oracle_config)
-        o_rho = reduced_atom(o_states)
-    else:
-        o_states = None
-        o_rho = oracle_evolve_mixed(rho0, dist, profile, grid, oracle_config)
-    o_cols = _observable_columns(scenario.outputs, o_rho, o_states)
-    dev = {f"dev_{k}": np.abs(cols[k] - o_cols[k]) for k in cols}
-    return cols, dev
+    if scenario.oracle_check:
+        ref = columns(oracle_evolve_pure, oracle_evolve_mixed, grid)
+        cols.update({f"dev_{k}": np.abs(cols[k] - ref[k]) for k in ref})
+    return cols
 
 
-def run(scenario: Scenario, oracle_config=DEFAULT_CONFIG) -> ResultTable:
+def run(scenario: Scenario) -> ResultTable:
     """Evaluate a scenario into a flat table, sweeps stacked lengthwise.
 
     Each case walks the time grid in chunks of batched closed-form work,
@@ -528,37 +523,24 @@ def run(scenario: Scenario, oracle_config=DEFAULT_CONFIG) -> ResultTable:
             (float(v), *_sweep_case(scenario, v)) for v in scenario.sweep.values
         ]
 
-    results = [
-        _evolve_case(scenario, field_spec, profile, grid, oracle_config)
-        for _, field_spec, profile in cases
-    ]
-
-    value_names = None
     blocks = []
-    max_dev = None
-    for (value, _, _), (cols, dev) in zip(cases, results):
-        if value_names is None:
-            value_names = list(cols)
-            if dev is not None:
-                value_names += list(dev)
-        arrays = [grid] + [cols[k] for k in cols]
-        if dev is not None:
-            arrays += [dev[k] for k in dev]
-            case_max = max(float(np.max(d)) for d in dev.values())
-            max_dev = case_max if max_dev is None else max(max_dev, case_max)
+    for value, field_spec, profile in cases:
+        cols = _evolve_case(scenario, field_spec, profile, grid)
+        arrays = [grid, *cols.values()]
         if value is not None:
-            arrays = [np.full(grid.size, value)] + arrays
+            arrays.insert(0, np.full(grid.size, value))
         blocks.append(np.column_stack(arrays))
 
     data = np.concatenate(blocks, axis=0)
-    columns = ("t",) + tuple(value_names)
+    columns = ("t",) + tuple(cols)
     sweep_parameter = None
     if scenario.sweep is not None:
         sweep_parameter = scenario.sweep.parameter
         columns = ("sweep_value",) + columns
+    dev = [i for i, name in enumerate(columns) if name.startswith("dev_")]
     return ResultTable(
         columns=columns,
         data=data,
         sweep_parameter=sweep_parameter,
-        max_oracle_deviation=max_dev,
+        max_oracle_deviation=float(data[:, dev].max()) if dev else None,
     )

@@ -135,6 +135,20 @@ def test_overflowing_coupling_area_exits_2(tmp_path, capsys, field, profile):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field", [{"coherent": 2}, {"thermal": 2}], ids=["coherent", "thermal"]
+)
+def test_overflowing_rotation_angle_exits_2(tmp_path, capsys, field):
+    # The area 1.5e308 is finite; the top block turns by it times sqrt(n+1).
+    profile = {"constant": {"lambda0": 1e308}}
+    doc = dict(BASIC, field=field, profile=profile, time={"t_end": 1.5, "steps": 4})
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: block angle A*sqrt(n+1) overflows")
+    assert err.count("\n") == 1
+
+
 def test_run_without_oracle_loads_no_scipy():
     code = """
 import json, sys

@@ -12,7 +12,6 @@ from jcdyn import (
     InvalidInputError,
     JointPureState,
     SinusoidalCoupling,
-    block_angle,
     coupling_area,
     custom_distribution,
     evolve_mixed,
@@ -33,15 +32,6 @@ def fock(n, size=None):
     amps = [0.0] * size
     amps[n] = 1.0
     return custom_distribution(amplitudes=amps)
-
-
-def test_block_angle_values():
-    assert block_angle(0, 1.5) == 1.5
-    assert block_angle(3, 2.0) == pytest.approx(4.0, rel=1e-15)
-    with pytest.raises(InvalidInputError):
-        block_angle(-1, 1.0)
-    with pytest.raises(InvalidInputError):
-        block_angle(0.5, 1.0)
 
 
 def test_vacuum_block_quarter_turn():

@@ -21,7 +21,6 @@ from jcdyn import (
     PhotonDistribution,
     coherent_amplitudes,
     custom_distribution,
-    mean_n_from_temperature,
     thermal_weights,
 )
 
@@ -199,23 +198,6 @@ def test_thermal_vacuum_and_errors():
         thermal_weights(-0.1)
     with pytest.raises(InvalidInputError):
         thermal_weights(float("inf"))
-
-
-def test_mean_n_from_temperature_reference_values():
-    # high-temperature: 1/(e^0.01 - 1), 25-digit reference
-    assert mean_n_from_temperature(0.01) == pytest.approx(
-        99.50083333194444775, rel=1e-14
-    )
-    # ratio ln 2 gives exactly one photon on average
-    assert mean_n_from_temperature(math.log(2.0)) == pytest.approx(1.0, abs=1e-12)
-    # deep cold: essentially empty
-    assert mean_n_from_temperature(50.0) < 2e-22
-
-
-def test_mean_n_from_temperature_rejects_nonpositive():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputError):
-            mean_n_from_temperature(bad)
 
 
 def test_custom_weights_renormalized_within_gate():

@@ -1,4 +1,4 @@
-"""Observables: entropy, Bloch vector, Schmidt pairs, revival estimates."""
+"""Observables: entropy, Bloch vector, revival estimates."""
 
 import math
 from types import SimpleNamespace
@@ -26,7 +26,6 @@ from jcdyn import (
     population_inversion,
     reduced_atom,
     revival_time,
-    schmidt_state,
     von_neumann_entropy,
 )
 
@@ -95,30 +94,6 @@ def test_coherence_plus_x_vacuum():
     for t in (0.3, 1.0):
         st = evolve_pure(AtomState.plus_x(), VACUUM, CONST, t)
         assert coherence_xi(st) == pytest.approx(0.5 * math.cos(t), abs=1e-14)
-
-
-def test_schmidt_reconstruction():
-    field = coherent_amplitudes(1.5)
-    st = evolve_pure(AtomState.excited(), field, CONST, 2.0)
-    rho = reduced_atom(st)
-    data, (v_plus, v_minus) = schmidt_state(st)
-    rebuilt = data.mu_plus * np.outer(v_plus, v_plus.conjugate())
-    rebuilt += data.mu_minus * np.outer(v_minus, v_minus.conjugate())
-    np.testing.assert_allclose(rebuilt, rho.as_matrix(), atol=1e-10)
-    assert abs(np.vdot(v_plus, v_minus)) < 1e-12
-    assert np.linalg.norm(v_plus) == pytest.approx(1.0, abs=1e-12)
-    # deterministic phase: leading component real and non-negative
-    lead = v_plus[int(np.argmax(np.abs(v_plus)))]
-    assert abs(lead.imag) < 1e-12 and lead.real > 0.0
-
-
-def test_schmidt_degenerate_tie_break():
-    # |e,0> at area pi/4 reduces to the maximally mixed atom
-    st = evolve_pure(AtomState.excited(), VACUUM, CONST, math.pi / 4.0)
-    data, (v_plus, v_minus) = schmidt_state(st)
-    assert data.mu_plus == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_array_equal(v_plus, [1.0 + 0.0j, 0.0j])
-    np.testing.assert_array_equal(v_minus, [0.0j, 1.0 + 0.0j])
 
 
 def test_revival_time_reference_values():

@@ -11,7 +11,6 @@ from jcdyn import (
     AtomState,
     ConstantCoupling,
     CustomCoupling,
-    DeviationReport,
     IntegratorConfig,
     InvalidInputError,
     LinearCoupling,
@@ -19,7 +18,6 @@ from jcdyn import (
     SechCoupling,
     SinusoidalCoupling,
     coherent_amplitudes,
-    compare_trajectories,
     coupling_area,
     custom_distribution,
     evolve_mixed,
@@ -155,20 +153,6 @@ def test_rk4_and_adaptive_agree():
     a = integrate_block(1, (0.6, 0.8j), prof, grid)
     b = integrate_block(1, (0.6, 0.8j), prof, grid, fine)
     assert float(np.max(np.abs(a - b))) < 1e-8
-
-
-def test_compare_trajectories_report():
-    a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    b = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 2.5]])
-    report = compare_trajectories(a, b, times=[0.0, 0.5, 1.0])
-    assert isinstance(report, DeviationReport)
-    assert report.max_abs == 1.0
-    assert report.at_time == 0.5
-    assert report.rms == pytest.approx(math.sqrt((1.0 + 0.25) / 6.0), rel=1e-12)
-    with pytest.raises(InvalidInputError):
-        compare_trajectories(a, b[:2])
-    with pytest.raises(InvalidInputError):
-        compare_trajectories(a, b, times=[0.0, 0.5])
 
 
 def reference_rate(profile, t):

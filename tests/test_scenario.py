@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import jcdyn.scenario as scenario_module
 from jcdyn import (
     ConstantCoupling,
     CustomCoupling,
@@ -17,7 +18,7 @@ from jcdyn import (
     serialize,
 )
 from jcdyn.coupling import PROFILES
-from jcdyn.scenario import AtomSpec, FieldSpec
+from jcdyn.scenario import MAX_STEPS, AtomSpec, FieldSpec
 
 MINIMAL = {
     "atom": "excited",
@@ -72,6 +73,24 @@ def test_error_paths():
     assert err_path(scen(outputs=["heat"])) == "outputs[0]"
     assert err_path(scen(tail_epsilon=0)) == "tail_epsilon"
     assert err_path(scen(oracle_check="yes")) == "oracle_check"
+    big = 10**400  # a JSON integer no float can hold
+    assert err_path(scen(time={"t_end": big, "steps": 5})) == "time.t_end"
+    assert err_path(scen(field={"thermal": big})) == "field.thermal"
+    assert err_path(scen(field={"coherent": big})) == "field.coherent[0]"
+    assert err_path(scen(tail_epsilon=big)) == "tail_epsilon"
+    assert err_path(scen(profile={"constant": {"lambda0": big}})) == (
+        "profile.constant.lambda0"
+    )
+    sinusoidal = {"sinusoidal": {"lambda0": 1, "zeta3": 1, "p": big}}
+    assert err_path(scen(profile=sinusoidal)) == "profile.sinusoidal.p"
+    for parameter in ("lambda0", "mean_n"):
+        sweep = {"parameter": parameter, "values": [big]}
+        assert err_path(scen(sweep=sweep)) == "sweep.values[0]"
+    for steps in (big, 10**18, MAX_STEPS + 1):
+        assert err_path(scen(time={"t_end": 2, "steps": steps})) == "time.steps"
+    assert parse_scenario(scen(time={"t_end": 2, "steps": MAX_STEPS})).steps == (
+        MAX_STEPS
+    )
 
 
 def test_missing_t_end_names_path():
@@ -281,6 +300,41 @@ def test_run_oracle_check_appends_dev_columns():
     assert table.max_oracle_deviation is not None
     assert table.max_oracle_deviation < 1e-8
     assert float(np.max(table.data[:, 3:])) == table.max_oracle_deviation
+
+
+@pytest.mark.parametrize(
+    "field", [{"coherent": 1.2}, {"thermal": 0.5}], ids=["pure", "mixed"]
+)
+def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
+    # The layers are looked up as jcdyn.scenario globals at call time, so
+    # wrapping them there sees every call run makes.
+    calls = dict.fromkeys(
+        ("evolve_pure", "evolve_mixed", "reduced_atom")
+        + ("oracle_evolve_pure", "oracle_evolve_mixed"),
+        0,
+    )
+    for name in calls:
+
+        def counted(*args, _name=name, _layer=getattr(scenario_module, name)):
+            calls[_name] += 1
+            return _layer(*args)
+
+        monkeypatch.setattr(scenario_module, name, counted)
+    monkeypatch.setattr(scenario_module, "_CHUNK_ELEMENTS", 1)  # one row a chunk
+    doc = scen(
+        field=field,
+        time={"t_end": 2, "steps": 7},
+        oracle_check=True,
+        sweep={"parameter": "lambda0", "values": [1, 2]},
+    )
+    table = run(parse_scenario(doc))
+    assert table.data.shape[0] == 14
+    pure = "coherent" in field
+    evolve, other = ("pure", "mixed") if pure else ("mixed", "pure")
+    assert calls[f"evolve_{evolve}"] == 14 and calls[f"evolve_{other}"] == 0
+    assert calls[f"oracle_evolve_{evolve}"] == 2
+    assert calls[f"oracle_evolve_{other}"] == 0
+    assert calls["reduced_atom"] == (14 + 2 if pure else 0)
 
 
 def test_run_mixed_oracle_check():
