@@ -146,19 +146,14 @@ def _cmd_compare(args):
     scenario = _load_scenario(args.scenario)
     scenario = replace(scenario, oracle_check=True)
     table = run(scenario)
-    names = list(table.columns)
-    worst = 0.0
-    for name in names:
-        if not name.startswith("dev_"):
-            continue
-        col = table.data[:, names.index(name)]
-        worst = max(worst, float(col.max()))
-        print(
-            f"{name[4:]}: max |closed - oracle| = {col.max():.6e}, "
-            f"rms = {float((col**2).mean()) ** 0.5:.6e}"
-        )
-    print(f"overall max deviation: {worst:.6e}")
-    if worst > ORACLE_DEVIATION_LIMIT:
+    for name, col in zip(table.columns, table.data.T):
+        if name.startswith("dev_"):
+            print(
+                f"{name[4:]}: max |closed - oracle| = {col.max():.6e}, "
+                f"rms = {float((col**2).mean()) ** 0.5:.6e}"
+            )
+    print(f"overall max deviation: {table.max_oracle_deviation:.6e}")
+    if table.max_oracle_deviation > ORACLE_DEVIATION_LIMIT:
         return EXIT_DEVIATION
     return EXIT_OK
 

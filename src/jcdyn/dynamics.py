@@ -170,16 +170,23 @@ class AtomDensityMatrix:
             raise InvalidInputError("coherence exceeds the positivity bound")
 
     @classmethod
+    def conditioned(cls, ee, gg, eg):
+        """The matrix with entries divided by their trace ee + gg.
+
+        A truncated field leaves the raw trace short of 1 by the discarded
+        tail, and |c|^2 rounding can leave a pure state's an ulp off (e.g.
+        the sigma_x eigenstate); dividing conditions on the retained photon
+        levels, so the trace is 1 for any tail_epsilon.
+        """
+        trace = ee + gg
+        return cls(ee / trace, gg / trace, eg / trace)
+
+    @classmethod
     def from_atom_state(cls, state: AtomState):
-        # Divide by the squared norm so the trace is exactly 1 even when
-        # |c|^2 rounding leaves it an ulp off (e.g. the sigma_x eigenstate).
-        p_e = abs(state.c_e) ** 2
-        p_g = abs(state.c_g) ** 2
-        total = p_e + p_g
-        return cls(
-            p_e / total,
-            p_g / total,
-            state.c_e * state.c_g.conjugate() / total,
+        return cls.conditioned(
+            abs(state.c_e) ** 2,
+            abs(state.c_g) ** 2,
+            state.c_e * state.c_g.conjugate(),
         )
 
     def as_matrix(self) -> np.ndarray:
@@ -304,9 +311,12 @@ def evolve_mixed(
     Tracing the field out of each sector's 2x2 rotation gives populations
     mixed by cos^2/sin^2 factors and a coherence damped by the overlap
     sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). A 1-D array of times gives
-    the batch form; a single time 0 returns ``atom`` itself.
+    the batch form; a single time 0 returns ``atom`` itself. A pure field is
+    refused: its weights alone would dephase it into a number mixture.
     """
     t = _check_times(t)
+    if field.amplitudes is not None:
+        raise InvalidInputError("field is pure; evolve_pure keeps its phases")
     single = np.ndim(t) == 0
     if single and t == 0.0:
         return atom
@@ -317,14 +327,9 @@ def evolve_mixed(
         field.weights,
         np.atleast_1d(coupling_area(profile, t)),
     )
-    # The raw trace is (retained field mass) * tr(atom), short of 1 by the
-    # truncated tail; condition on the retained sectors so the result is a
-    # valid density matrix for any tail_epsilon.
-    trace = ee + gg
-    ee, gg, eg = ee / trace, gg / trace, eg / trace
     if single:
-        return AtomDensityMatrix(ee[0], gg[0], eg[0])
-    return AtomDensityMatrix(ee, gg, eg)
+        ee, gg, eg = ee[0], gg[0], eg[0]
+    return AtomDensityMatrix.conditioned(ee, gg, eg)
 
 
 def excitation_expectation(state: JointPureState):

@@ -119,8 +119,7 @@ def reduced_atom(state: JointPureState) -> AtomDensityMatrix:
     p_e = np.sum(np.abs(state.amps_e) ** 2, axis=-1)
     p_g = np.sum(np.abs(state.amps_g) ** 2, axis=-1)
     eg = np.sum(np.conj(state.amps_g) * state.amps_e, axis=-1)
-    total = p_e + p_g
-    return AtomDensityMatrix(p_e / total, p_g / total, eg / total)
+    return AtomDensityMatrix.conditioned(p_e, p_g, eg)
 
 
 def atom_eigenvalues(rho: AtomDensityMatrix) -> SchmidtData:

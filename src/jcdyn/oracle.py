@@ -5,10 +5,10 @@ general-purpose ODE solver, sampling lambda(t) pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
-once per trajectory. Every block starts at its physical amplitude, the
-field amplitude C_n on the pure path and sqrt(w_k p_n) phi_k for mixture
-member k on the mixed path, so the solver tolerances act on physical
-amplitudes on both paths.
+once per trajectory. Both paths evolve joint pure states through one
+helper, and every block starts at its physical amplitude: the field
+amplitude C_n on the pure path, sqrt(w_k p_n) phi_k for mixture member k
+on the mixed path. So the solver tolerances act alike on both paths.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ def _integrate_stack(blocks, y0, profile, t_grid, cfg):
         # tabulated profiles stay in range.
         return float(_rate(profile, min(max(float(t), 0.0), t_end)))
 
+    pair_coef = np.repeat(coef, 2).reshape(-1, 2)
+
+    def rhs(t, y):
+        return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
+
     if cfg.method == ADAPTIVE:
-        pair_coef = np.repeat(coef, 2).reshape(-1, 2)
-
-        def rhs(t, y):
-            return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
-
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
@@ -125,27 +125,23 @@ def _integrate_stack(blocks, y0, profile, t_grid, cfg):
         )
         if not sol.success:
             raise NumericalFailureError(f"reference integrator failed: {sol.message}")
-        out = np.ascontiguousarray(sol.y.T).reshape(grid.size, -1, 2)
+        out = sol.y.T
     else:
-        out = np.empty((grid.size,) + y0.shape, dtype=complex)
-        out[0] = y0
-        y = y0.copy()
-
-        def deriv(t, y):
-            return lam(t) * coef[:, None] * y[:, ::-1]
-
+        out = np.empty((grid.size, y0.size), dtype=complex)
+        y = out[0] = y0.ravel()
         for i in range(1, grid.size):
             t0, t1 = grid[i - 1], grid[i]
             m = max(1, math.ceil((t1 - t0) / cfg.max_step))
             h = (t1 - t0) / m
             for j in range(m):
                 t = t0 + j * h
-                k1 = deriv(t, y)
-                k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = deriv(t + h, y + h * k3)
+                k1 = rhs(t, y)
+                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+                k4 = rhs(t + h, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[i] = y
+    out = np.ascontiguousarray(out).reshape(grid.size, -1, 2)
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalFailureError("reference integrator produced non-finite values")
     return out
@@ -163,6 +159,27 @@ def integrate_block(n, initial, profile, t_grid, config=DEFAULT_CONFIG):
     return _integrate_stack([n], pair[None, :], profile, t_grid, config)[:, 0, :]
 
 
+def _evolve_joint(e0, g0, profile, grid, config):
+    """Evolve S joint pure states in one solver call; returns (e, g), each
+    of shape (T, S, n_max + 2).
+
+    Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
+    ``_initial_amplitudes`` lays it out: block n pairs e0[s, n] with
+    g0[s, n+1], and the dark amplitude g0[s, 0] stays put. A block that
+    starts at zero stays zero, so it is not integrated.
+    """
+    s, n = np.nonzero((e0[:, :-1] != 0) | (g0[:, 1:] != 0))
+    samples = _integrate_stack(
+        n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid, config
+    )
+    e = np.zeros((grid.size,) + e0.shape, dtype=complex)
+    g = np.zeros_like(e)
+    e[:, s, n] = samples[:, :, 0]
+    g[:, s, n + 1] = samples[:, :, 1]
+    g[:, :, 0] = g0[:, 0]
+    return e, g
+
+
 def oracle_evolve_pure(
     atom: AtomState,
     field: PhotonDistribution,
@@ -178,15 +195,8 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     grid = _check_grid(t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
-    blocks = np.arange(e0.size - 1)
-    y0 = np.stack([e0[:-1], g0[1:]], axis=1)
-    samples = _integrate_stack(blocks, y0, profile, grid, config)
-    e = np.zeros((grid.size, e0.size), dtype=complex)
-    g = np.empty_like(e)
-    e[:, :-1] = samples[:, :, 0]
-    g[:, 1:] = samples[:, :, 1]
-    g[:, 0] = g0[0]  # dark component, untouched by the interaction
-    return JointPureState(e, g, grid)
+    e, g = _evolve_joint(e0[None], g0[None], profile, grid, config)
+    return JointPureState(e[:, 0], g[:, 0], grid)
 
 
 def oracle_evolve_mixed(
@@ -198,65 +208,31 @@ def oracle_evolve_mixed(
 ) -> AtomDensityMatrix:
     """Numerically integrated counterpart of the closed-form mixed evolution.
 
-    Diagonalizes the atomic state and propagates each eigenvector against
-    every retained photon sector, then re-assembles the partial trace. All
-    sectors of all eigenvectors ride in a single solver call. Member
-    phi_k (x) |n> starts at its physical amplitude sqrt(w_k p_n) phi_k, so
-    the solver tolerances act on physical amplitudes, as on the pure path,
-    and each rho element is a plain sum over the rows. Returns the batch
+    Diagonalizes the atomic state and splits each eigenvector phi_k into
+    two joint pure states: its |e> part, sqrt(w_k p_n) phi_k,e on |e,n>,
+    and its |g> part, sqrt(w_k p_n) phi_k,g on |g,n>. Photon sector n of
+    member k keeps its |e> part in block n and its |g> part in block n - 1,
+    so the populations are sums of squared amplitudes and the coherence
+    pairs the |e> part's e_n with the |g> part's g_n. Returns the batch
     form of AtomDensityMatrix, one row per grid time.
     """
+    if field.amplitudes is not None:
+        raise InvalidInputError("field is pure; oracle_evolve_pure keeps its phases")
     grid = _check_grid(t_grid)
-    n_max = field.n_max
-    root_p = np.sqrt(field.weights)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
-    members = []  # (dark |g,0> amplitude, e_rows slice, g_rows slice)
-    blocks = []
-    y0 = []
-
-    def push(block_ids, e, g):
-        start = sum(b.size for b in blocks)
-        blocks.append(block_ids)
-        y0.append(np.stack(np.broadcast_arrays(e, g), axis=1))
-        return slice(start, start + block_ids.size)
-
-    for k in range(2):
-        w_k = float(vals[k])
-        if w_k < -1e-10:
-            raise InvalidInputError("atom state has a negative eigenvalue")
-        if w_k <= _EIGENWEIGHT_FLOOR:
-            continue
-        phi_e, phi_g = complex(vecs[0, k]), complex(vecs[1, k])
-        amp = math.sqrt(w_k) * root_p  # sqrt(w_k p_n), n = 0 .. n_max
-        e_rows = g_rows = None
-        if phi_e != 0:
-            e_rows = push(np.arange(n_max + 1), phi_e * amp, 0.0)
-        if phi_g != 0 and n_max >= 1:
-            # block n pairs |e,n> with |g,n+1>, which carries p_{n+1}
-            g_rows = push(np.arange(n_max), 0.0, phi_g * amp[1:])
-        members.append((phi_g * amp[0], e_rows, g_rows))
-
-    if y0:
-        samples = _integrate_stack(
-            np.concatenate(blocks), np.concatenate(y0), profile, grid, config
-        )
-    else:
-        samples = np.zeros((grid.size, 0, 2), dtype=complex)
-
-    power = np.abs(samples) ** 2
-    rho_ee = power[:, :, 0].sum(axis=1)
-    rho_gg = power[:, :, 1].sum(axis=1)
-    rho_eg = np.zeros(grid.size, dtype=complex)
-    for dark, e_rows, g_rows in members:
-        rho_gg += abs(dark) ** 2  # |g,0> is dark: constant amplitude
-        if e_rows is None:
-            continue
-        a = samples[:, e_rows, 0]
-        rho_eg += a[:, 0] * dark.conjugate()
-        if g_rows is not None:
-            rho_eg += (a[:, 1:] * samples[:, g_rows, 1].conj()).sum(axis=1)
+    if vals[0] < -1e-10:
+        raise InvalidInputError("atom state has a negative eigenvalue")
+    keep = vals > _EIGENWEIGHT_FLOOR
+    amp = np.sqrt(vals[keep])[:, None] * np.sqrt(field.weights)  # sqrt(w_k p_n)
+    e0 = np.zeros((2 * amp.shape[0], field.n_max + 2), dtype=complex)
+    g0 = e0.copy()
+    e0[0::2, :-1] = vecs[0, keep][:, None] * amp  # |e> part of member k
+    g0[1::2, :-1] = vecs[1, keep][:, None] * amp  # |g> part of member k
+    e, g = _evolve_joint(e0, g0, profile, grid, config)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
-    trace = rho_ee + rho_gg
-    return AtomDensityMatrix(rho_ee / trace, rho_gg / trace, rho_eg / trace)
-
+    return AtomDensityMatrix.conditioned(
+        np.sum(np.abs(e) ** 2, axis=(1, 2)),
+        np.sum(np.abs(g) ** 2, axis=(1, 2)),
+        np.sum(e[:, 0::2] * g[:, 1::2].conj(), axis=(1, 2)),
+    )

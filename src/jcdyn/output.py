@@ -98,11 +98,8 @@ def _series_from_table(table, selection, parametric):
         groups = [(None, table.data)]
     else:
         sweep_col = table.data[:, names.index("sweep_value")]
-        seen = []
-        for v in sweep_col:
-            if v not in seen:
-                seen.append(v)
-        groups = [(v, table.data[sweep_col == v]) for v in seen]
+        values, first = np.unique(sweep_col, return_index=True)
+        groups = [(v, table.data[sweep_col == v]) for v in values[np.argsort(first)]]
 
     series = []
     for value, rows in groups:

@@ -62,8 +62,9 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 # levels than half of it gets one time point per chunk.
 _CHUNK_ELEMENTS = 2**16
 
-# Most time points a scenario may ask for (2^22, 32 MiB per float column of
-# the result table), checked at parse time before the grid is allocated.
+# Most rows a scenario may ask for, time points times sweep values (2^22,
+# 32 MiB per float column of the result table), checked at parse time
+# before the grid is allocated.
 MAX_STEPS = 2**22
 
 
@@ -321,6 +322,10 @@ def _parse_sweep(node, path, field, profile):
         else _parameter(swept, v, f"{path}.values[{i}]")
         for i, v in enumerate(raw)
     )
+    first = {}
+    for i, v in enumerate(values):
+        if first.setdefault(v, i) != i:
+            _err(f"{path}.values[{i}]", f"duplicate value {v!r}")
     return SweepSpec(parameter=parameter, values=values)
 
 
@@ -386,6 +391,8 @@ def parse_scenario(source) -> Scenario:
     sweep = None
     if "sweep" in doc:
         sweep = _parse_sweep(doc["sweep"], "sweep", field, profile)
+        if steps * len(sweep.values) > MAX_STEPS:
+            _err("sweep.values", f"steps x values must be <= {MAX_STEPS}")
 
     if profile.t_max < t_end:
         _err(f"profile.{profile.key}.times", "table ends before time.t_end")

@@ -149,6 +149,35 @@ def test_overflowing_rotation_angle_exits_2(tmp_path, capsys, field):
     assert err.count("\n") == 1
 
 
+def test_sweep_over_row_budget_exits_2(tmp_path, capsys):
+    # MAX_STEPS bounds the whole table: 2^20 steps times 5 sweep values is
+    # refused at parse time, before any grid or column is allocated.
+    import tracemalloc
+
+    from jcdyn import ScenarioError, parse_scenario
+
+    values = [0.5, 1.0, 1.5, 2.0, 2.5]
+    doc = dict(
+        BASIC,
+        field={"thermal": 0.5},
+        time={"t_end": 2.0, "steps": 2**20},
+        sweep={"parameter": "lambda0", "values": values},
+    )
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path), "--csv", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: sweep.values: ")
+    assert err.count("\n") == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_run_without_oracle_loads_no_scipy():
     code = """
 import json, sys

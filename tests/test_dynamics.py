@@ -128,6 +128,17 @@ def test_mixed_agrees_with_pure_on_fock_field():
         assert via_pure.rho_eg == pytest.approx(via_mixed.rho_eg, abs=1e-12)
 
 
+def test_mixed_refuses_pure_field():
+    # Read through its weights alone, a coherent field would evolve as its
+    # Poisson mixture and lose the coherence the pure path keeps.
+    from jcdyn import coherent_amplitudes
+
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
+    for t in (1.3, np.array([0.0, 1.3])):
+        with pytest.raises(InvalidInputError, match="field is pure"):
+            evolve_mixed(rho0, coherent_amplitudes(2.0), CONST, t)
+
+
 def test_excitation_conserved():
     from jcdyn import coherent_amplitudes
 

@@ -146,6 +146,47 @@ def test_oracle_rejects_mixed_field_on_pure_path():
         )
 
 
+def test_oracle_rejects_pure_field_on_mixed_path():
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
+    with pytest.raises(InvalidInputError, match="field is pure"):
+        oracle_evolve_mixed(rho0, coherent_amplitudes(2.0), CONST, [0.0, 1.3])
+
+
+def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
+    # Block n pairs e0[n] with g0[n+1]; a row starting at (0, 0) stays there.
+    from jcdyn import oracle
+
+    rows = []
+    original = oracle.solve_ivp
+
+    def counting(*args, **kwargs):
+        rows.append(np.asarray(args[2]).size // 2)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    grid = np.linspace(0.0, 3.0, 7)
+    thermal = thermal_weights(1.2)
+    coherent = coherent_amplitudes(2.0)
+    # excited: only the |e> part of one eigenvector, n = 0 .. n_max
+    oracle_evolve_mixed(AtomDensityMatrix(1.0, 0.0, 0.0), thermal, CONST, grid)
+    # rank 2: per eigenvector, n_max + 1 |e> rows and n_max |g> rows
+    rank2 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
+    rhos = oracle_evolve_mixed(rank2, thermal, CONST, grid)
+    # ground: the top block pairs two empty slots and is skipped
+    states = oracle_evolve_pure(AtomState.ground(), coherent, CONST, grid)
+    assert rows == [
+        thermal.n_max + 1,
+        2 * (2 * thermal.n_max + 1),
+        coherent.n_max,
+    ]
+    ref = evolve_mixed(rank2, thermal, CONST, grid)
+    assert np.max(np.abs(rhos.rho_eg - ref.rho_eg)) < 1e-9
+    # the skipped block's slots stay empty; the dark |g,0> keeps C_0
+    assert np.all(states.amps_e[:, -2:] == 0.0)
+    assert np.all(states.amps_g[:, -1] == 0.0)
+    assert np.all(states.amps_g[:, 0] == coherent.amplitudes[0])
+
+
 def test_rk4_and_adaptive_agree():
     prof = SinusoidalCoupling(1.0, 0.9, p=2)
     grid = np.linspace(0.0, 4.0, 9)

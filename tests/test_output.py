@@ -144,6 +144,19 @@ def test_svg_sweep_one_polyline_per_value(tmp_path):
     assert "W [mean_n=0.5]" in path.read_text()
 
 
+def test_svg_sweep_series_follow_table_order(tmp_path):
+    # groups follow the table's sweep order, not sorted values
+    data = np.array([[2.0, 0.0, 1.0], [2.0, 1.0, 0.5], [0.5, 0.0, 1.0], [0.5, 1.0, 0.8]])
+    table = ResultTable(
+        columns=("sweep_value", "t", "W"), data=data, sweep_parameter="lambda0"
+    )
+    path = tmp_path / "order.svg"
+    emit_svg(table, ["W"], path)
+    text = path.read_text()
+    assert len(svg_polylines(path)) == 2
+    assert text.index("W [lambda0=2]") < text.index("W [lambda0=0.5]")
+
+
 def test_svg_selection_errors(tmp_path):
     table = small_table()
     with pytest.raises(InvalidInputError):

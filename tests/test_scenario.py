@@ -88,6 +88,13 @@ def test_error_paths():
         assert err_path(scen(sweep=sweep)) == "sweep.values[0]"
     for steps in (big, 10**18, MAX_STEPS + 1):
         assert err_path(scen(time={"t_end": 2, "steps": steps})) == "time.steps"
+    repeated = {"parameter": "lambda0", "values": [1.0, 2.0, 1.0]}
+    assert err_path(scen(sweep=repeated)) == "sweep.values[2]"
+    five = {"parameter": "lambda0", "values": [0.5, 1.0, 1.5, 2.0, 2.5]}
+    rows = scen(time={"t_end": 2, "steps": MAX_STEPS // 5 + 1}, sweep=five)
+    assert err_path(rows) == "sweep.values"
+    rows["time"]["steps"] = MAX_STEPS // 5
+    assert parse_scenario(rows).sweep.values == (0.5, 1.0, 1.5, 2.0, 2.5)
     assert parse_scenario(scen(time={"t_end": 2, "steps": MAX_STEPS})).steps == (
         MAX_STEPS
     )
