@@ -2,9 +2,9 @@
 
 The interaction couples |e,n> only with |g,n+1>, so evolution factors into
 independent 2x2 rotations whose angle is the coupling area scaled by
-sqrt(n+1). Pure joint states evolve amplitude-wise. Field mixtures that are
-diagonal in photon number evolve sector by sector, which never materializes
-a joint density matrix.
+sqrt(n+1). Pure joint states evolve amplitude-wise. The reduced atom of any
+product initial state follows from the field's weights and, for a pure field,
+its near-diagonal coherences, without building a joint state.
 
 The evolution functions take one time or a 1-D array of times. An array
 yields the batch form of the same dataclass: every field gains a leading
@@ -260,24 +260,37 @@ def _rotate_blocks(e0, g0, area):
     return e, g
 
 
-def _sector_sums(rho_ee, rho_gg, rho_eg, weights, area):
-    """Unconditioned (ee, gg, eg) columns of a photon-diagonal mixture.
+def _cmatvec(m, v):
+    """m @ v for a real matrix and a complex vector, without casting m."""
+    return m @ v.real + 1j * (m @ v.imag)
 
-    Sector n turns |e,n> by area * sqrt(n+1) and |g,n> by area * sqrt(n),
-    so tracing out the field mixes the initial populations by cos^2/sin^2
-    sums over the weights and damps the coherence by the overlap
-    sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). ``area`` is a 1-D array;
-    each result has one entry per area.
+
+def _reduced_sums(rho, field, area):
+    """Unconditioned (ee, gg, eg) columns of the atom for rho (x) field.
+
+    Block n = (|e,n>, |g,n+1>) turns by theta_n = area * sqrt(n+1), the dark
+    |g,0> by theta_-1 = 0. The field enters through its weights p_n and, if
+    pure, f_n = C_n conj(C_(n-1)) and h_n = C_(n+1) conj(C_(n-1)); only then
+    is sin(theta) taken. ``area`` is 1-D; results have one entry per area.
     """
-    theta = _angles(area, 0.0, weights.size + 1)
+    p, total = field.weights, field.weights.sum()
+    theta = _angles(area, 0.0, p.size + 1)
     c = np.cos(theta)
-    s = np.sin(theta)
-    c_lo, c_hi = c[:, :-1], c[:, 1:]
-    s_lo, s_hi = s[:, :-1], s[:, 1:]
-    ee = rho_ee * (c_hi**2 @ weights) + rho_gg * (s_lo**2 @ weights)
-    gg = rho_ee * (s_hi**2 @ weights) + rho_gg * (c_lo**2 @ weights)
-    eg = rho_eg * ((c_lo * c_hi) @ weights)
-    return ee, gg, eg
+    c_lo, c_hi = c[:, :-1], c[:, 1:]  # cos theta_(n-1), cos theta_n
+    # Corrections to the sums at area 0, which are then exactly rho * total.
+    d = rho.rho_gg * np.append(p[1:], 0.0) - rho.rho_ee * p  # per block, g minus e
+    ee = rho.rho_ee * total + (1.0 - c_hi**2) @ d
+    eg = rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
+    if field.amplitudes is not None:
+        a = np.concatenate(([0.0], field.amplitudes, [0.0]))
+        f, f_next = a[1:-1] * a[:-2].conj(), a[2:] * a[1:-1].conj()
+        s = np.sin(theta, out=theta)  # theta is not read again
+        s_lo, s_hi = s[:, :-1], s[:, 1:]
+        ee -= 2.0 * ((c_hi * s_hi) @ (rho.rho_eg * f_next.conj()).imag)
+        eg += _cmatvec(c_hi * s_lo, 1j * rho.rho_ee * f)
+        eg -= _cmatvec(s_hi * c_lo, 1j * rho.rho_gg * f_next)
+        eg += _cmatvec(s_hi * s_lo, np.conj(rho.rho_eg) * a[2:] * a[:-2].conj())
+    return ee, (rho.rho_ee + rho.rho_gg) * total - ee, eg
 
 
 def evolve_pure(
@@ -291,9 +304,7 @@ def evolve_pure(
     array of times gives the batch form, one amplitude row per time.
     """
     if field.amplitudes is None:
-        raise InvalidInputError(
-            "field is mixed; evolve_mixed handles diagonal mixtures"
-        )
+        raise InvalidInputError("field is mixed; evolve_mixed handles it")
     t = _check_times(t)
     e0, g0 = _initial_amplitudes(atom, field)
     single = np.ndim(t) == 0
@@ -306,27 +317,17 @@ def evolve_pure(
 def evolve_mixed(
     atom: AtomDensityMatrix, field: PhotonDistribution, profile, t
 ) -> AtomDensityMatrix:
-    """Reduced atomic state at time t for a photon-number-diagonal field.
+    """Reduced atomic state at time t for any field, pure or mixed.
 
-    Tracing the field out of each sector's 2x2 rotation gives populations
-    mixed by cos^2/sin^2 factors and a coherence damped by the overlap
-    sum_n P_n cos(A sqrt(n)) cos(A sqrt(n+1)). A 1-D array of times gives
-    the batch form; a single time 0 returns ``atom`` itself. A pure field is
-    refused: its weights alone would dephase it into a number mixture.
+    Traces the field out in closed form (``_reduced_sums``), keeping a pure
+    field's phases. A 1-D array of times gives the batch form; a single
+    time 0 returns ``atom`` itself.
     """
     t = _check_times(t)
-    if field.amplitudes is not None:
-        raise InvalidInputError("field is pure; evolve_pure keeps its phases")
     single = np.ndim(t) == 0
     if single and t == 0.0:
         return atom
-    ee, gg, eg = _sector_sums(
-        atom.rho_ee,
-        atom.rho_gg,
-        atom.rho_eg,
-        field.weights,
-        np.atleast_1d(coupling_area(profile, t)),
-    )
+    ee, gg, eg = _reduced_sums(atom, field, np.atleast_1d(coupling_area(profile, t)))
     if single:
         ee, gg, eg = ee[0], gg[0], eg[0]
     return AtomDensityMatrix.conditioned(ee, gg, eg)

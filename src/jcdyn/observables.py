@@ -18,7 +18,7 @@ from .dynamics import (
     AtomDensityMatrix,
     JointPureState,
     _first,
-    _sector_sums,
+    _reduced_sums,
 )
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
@@ -91,13 +91,13 @@ def population_inversion(rho: AtomDensityMatrix):
 def inversion_closed_form(field: PhotonDistribution, profile, t):
     """W(t) for an atom starting in |e>: sum_n P_n cos(2 A(t) sqrt(n+1)).
 
-    Accepts a scalar or an array of times. These are the raw sector sums of
-    the mixed evolution, not conditioned on the retained field mass.
+    Accepts a scalar or an array of times. These are the raw sums of the
+    reduced-state kernel, not conditioned on the retained field mass.
     """
-    area = coupling_area(profile, t)
-    ee, gg, _ = _sector_sums(1.0, 0.0, 0.0, field.weights, np.atleast_1d(area))
+    area = np.atleast_1d(coupling_area(profile, t))
+    ee, gg, _ = _reduced_sums(AtomDensityMatrix(1.0, 0.0, 0.0), field, area)
     w = ee - gg
-    return float(w[0]) if np.ndim(area) == 0 else w
+    return float(w[0]) if np.ndim(t) == 0 else w
 
 
 def coherence_xi(state: JointPureState):

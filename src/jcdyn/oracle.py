@@ -33,6 +33,10 @@ RK4 = "rk4"
 
 _EIGENWEIGHT_FLOOR = 1e-15
 
+# Most complex samples (times x 2 x integrated rows) one solve may hold:
+# 2^24, 256 MiB per copy, of which the solver keeps about three.
+MAX_ORACLE_SAMPLES = 2**24
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -169,6 +173,11 @@ def _evolve_joint(e0, g0, profile, grid, config):
     starts at zero stays zero, so it is not integrated.
     """
     s, n = np.nonzero((e0[:, :-1] != 0) | (g0[:, 1:] != 0))
+    count = grid.size * 2 * s.size
+    if count > MAX_ORACLE_SAMPLES:
+        raise InvalidInputError(
+            f"oracle needs {count} samples, over the budget of {MAX_ORACLE_SAMPLES}"
+        )
     samples = _integrate_stack(
         n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid, config
     )
@@ -217,7 +226,7 @@ def oracle_evolve_mixed(
     form of AtomDensityMatrix, one row per grid time.
     """
     if field.amplitudes is not None:
-        raise InvalidInputError("field is pure; oracle_evolve_pure keeps its phases")
+        raise InvalidInputError("field is pure; oracle_evolve_pure handles it")
     grid = _check_grid(t_grid)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
     if vals[0] < -1e-10:

@@ -22,7 +22,7 @@ from .dynamics import (
     AtomDensityMatrix,
     AtomState,
     evolve_mixed,
-    evolve_pure,
+    evolve_pure,  # unused here; bench/run.py's trace_targets wraps it by name
 )
 from .errors import InvalidInputError, ScenarioError
 from .fields import (
@@ -464,8 +464,8 @@ def _sweep_case(scenario, value):
     return field, profile
 
 
-def _observable_columns(outputs, rho, states):
-    """Output columns from a batch of reduced states (and joint states)."""
+def _observable_columns(outputs, rho, xi):
+    """Output columns from a batch of reduced states and their xi column."""
     cols = {}
     if "bloch" in outputs or "purity" in outputs:
         bloch = bloch_vector(rho)
@@ -479,7 +479,6 @@ def _observable_columns(outputs, rho, states):
         elif name == "purity":
             cols["R"] = bloch.r
         elif name == "coherence":
-            xi = coherence_xi(states)
             cols["xi_re"], cols["xi_im"] = xi.real, xi.imag
         else:
             eig = atom_eigenvalues(rho)
@@ -493,22 +492,22 @@ def _evolve_case(scenario, field_spec, profile, grid):
     dist = field_spec.build(scenario.tail_epsilon)
     atom_state = scenario.atom.to_state()
     rho0 = AtomDensityMatrix.from_atom_state(atom_state)
+    mass = dist.weights.sum()  # rho is divided by this, so xi = mass * conj(rho_eg)
 
-    def columns(pure, mixed, times):
-        if field_spec.is_pure:
-            states = pure(atom_state, dist, profile, times)
-            return _observable_columns(scenario.outputs, reduced_atom(states), states)
-        rho = mixed(rho0, dist, profile, times)
-        return _observable_columns(scenario.outputs, rho, None)
+    def closed_form(times):
+        rho = evolve_mixed(rho0, dist, profile, times)
+        return _observable_columns(scenario.outputs, rho, mass * np.conj(rho.rho_eg))
 
     rows = max(1, _CHUNK_ELEMENTS // (dist.n_max + 2))
-    chunks = [
-        columns(evolve_pure, evolve_mixed, grid[start : start + rows])
-        for start in range(0, grid.size, rows)
-    ]
+    chunks = [closed_form(grid[i : i + rows]) for i in range(0, grid.size, rows)]
     cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
     if scenario.oracle_check:
-        ref = columns(oracle_evolve_pure, oracle_evolve_mixed, grid)
+        if field_spec.is_pure:
+            states = oracle_evolve_pure(atom_state, dist, profile, grid)
+            rho, xi = reduced_atom(states), coherence_xi(states)
+        else:
+            rho, xi = oracle_evolve_mixed(rho0, dist, profile, grid), None
+        ref = _observable_columns(scenario.outputs, rho, xi)
         cols.update({f"dev_{k}": np.abs(cols[k] - ref[k]) for k in ref})
     return cols
 

@@ -178,6 +178,28 @@ def test_sweep_over_row_budget_exits_2(tmp_path, capsys):
     assert peak < 2**20
 
 
+def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # plus_x on thermal mean_n=100 integrates about 5,550 rows; at 4,001
+    # times that is over 2^24 samples, refused before the solver starts.
+    from jcdyn import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "solve_ivp", lambda *a, **k: calls.append(a))
+    doc = dict(
+        BASIC,
+        atom="plus_x",
+        field={"thermal": 100},
+        time={"t_end": 1.0, "steps": 4001},
+    )
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: oracle needs ")
+    assert f"over the budget of {oracle.MAX_ORACLE_SAMPLES}" in err
+    assert err.count("\n") == 1
+    assert calls == []
+
+
 def test_run_without_oracle_loads_no_scipy():
     code = """
 import json, sys

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from jcdyn import (
     ConstantCoupling,
     InvalidInputError,
     JointPureState,
+    SechCoupling,
     SinusoidalCoupling,
     coupling_area,
     custom_distribution,
@@ -128,15 +130,87 @@ def test_mixed_agrees_with_pure_on_fock_field():
         assert via_pure.rho_eg == pytest.approx(via_mixed.rho_eg, abs=1e-12)
 
 
-def test_mixed_refuses_pure_field():
-    # Read through its weights alone, a coherent field would evolve as its
-    # Poisson mixture and lose the coherence the pure path keeps.
+def test_mixed_keeps_pure_field_phases():
+    # The reduced-state kernel reads a pure field's coherences as well as its
+    # weights, so a coherent field keeps the phases the joint state carries.
     from jcdyn import coherent_amplitudes
 
-    rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
-    for t in (1.3, np.array([0.0, 1.3])):
-        with pytest.raises(InvalidInputError, match="field is pure"):
-            evolve_mixed(rho0, coherent_amplitudes(2.0), CONST, t)
+    field = coherent_amplitudes(2.0)
+    for atom, expected in (
+        (AtomState.excited(), -0.27180j),
+        (AtomState.plus_x(), 0.43798 - 0.13434j),
+    ):
+        rho0 = AtomDensityMatrix.from_atom_state(atom)
+        for t in (1.3, np.array([0.0, 1.3])):
+            rho = evolve_mixed(rho0, field, CONST, t)
+            ref = reduced_atom(evolve_pure(atom, field, CONST, t))
+            assert np.ravel(rho.rho_eg)[-1] == pytest.approx(expected, abs=5e-6)
+            for name in ("rho_ee", "rho_gg", "rho_eg"):
+                gap = np.abs(getattr(rho, name) - getattr(ref, name))
+                assert np.all(gap <= 1e-14)
+
+
+def _mp_rotated_pure(atom, field, area):
+    """(ee, gg, eg) of the atom at 30 digits: rotate each block of the joint
+    state by area * sqrt(n+1), then trace the field out."""
+    amps = [mpmath.mpc(a) for a in field.amplitudes] + [mpmath.mpc(0)]
+    ce, cg = mpmath.mpc(atom.c_e), mpmath.mpc(atom.c_g)
+    e, g = [], [cg * amps[0]]  # the dark |g,0> does not turn
+    for n in range(len(amps) - 1):
+        theta = area * mpmath.sqrt(n + 1)
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        e0, g0 = ce * amps[n], cg * amps[n + 1]
+        e.append(c * e0 - 1j * s * g0)
+        g.append(-1j * s * e0 + c * g0)
+    ee = mpmath.fsum(abs(x) ** 2 for x in e)
+    gg = mpmath.fsum(abs(x) ** 2 for x in g)
+    eg = mpmath.fsum(x * mpmath.conj(y) for x, y in zip(e, g))
+    return ee, gg, eg
+
+
+def _mp_sector_sums(rho, field, area):
+    """(ee, gg, eg) of the atom at 30 digits for a photon-diagonal mixture:
+    sector n turns |e,n> by area * sqrt(n+1) and |g,n> by area * sqrt(n)."""
+    ree, rgg = mpmath.mpf(rho.rho_ee), mpmath.mpf(rho.rho_gg)
+    reg = mpmath.mpc(rho.rho_eg)
+    ee = gg = eg = mpmath.mpf(0)
+    for n, w in enumerate(field.weights):
+        p = mpmath.mpf(w)
+        c_lo = mpmath.cos(area * mpmath.sqrt(n))
+        c_hi = mpmath.cos(area * mpmath.sqrt(n + 1))
+        ee += p * (ree * c_hi**2 + rgg * (1 - c_lo**2))
+        gg += p * (ree * (1 - c_hi**2) + rgg * c_lo**2)
+        eg += p * reg * c_lo * c_hi
+    return ee, gg, eg
+
+
+def test_reduced_state_matches_mpmath_in_wide_regimes():
+    # Wide fields and long times against a 30-digit reference that never
+    # forms the kernel's coherence vectors. Both profiles bound the area, so
+    # the largest block angle stays under 400 and its float rounding,
+    # theta * 2^-53, under 1e-13: the check measures the kernel itself.
+    from jcdyn import coherent_amplitudes
+
+    atom = AtomState.plus_x()
+    rho0 = AtomDensityMatrix.from_atom_state(atom)
+    cases = (
+        (coherent_amplitudes(30.0), SechCoupling(1.0, 0.3)),
+        (thermal_weights(200.0), SinusoidalCoupling(1.0, 1.0, p=3)),
+    )
+    with mpmath.workdps(30):
+        for field, profile in cases:
+            for t in (0.7, 37.0, 1e4):
+                area = coupling_area(profile, t)
+                assert area * math.sqrt(field.n_max + 1) < 400.0
+                if field.amplitudes is not None:
+                    ee, gg, eg = _mp_rotated_pure(atom, field, mpmath.mpf(area))
+                else:
+                    ee, gg, eg = _mp_sector_sums(rho0, field, mpmath.mpf(area))
+                rho = evolve_mixed(rho0, field, profile, t)
+                trace = ee + gg
+                assert abs(rho.rho_ee - float(ee / trace)) <= 1e-13
+                assert abs(rho.rho_gg - float(gg / trace)) <= 1e-13
+                assert abs(rho.rho_eg - complex(eg / trace)) <= 1e-13
 
 
 def test_excitation_conserved():

@@ -1,5 +1,6 @@
 """Randomized invariants: unitarity, conservation, state validity, identities."""
 
+import cmath
 import math
 
 import numpy as np
@@ -88,6 +89,27 @@ def mixed_fields(draw):
     )
     w = np.asarray(raw, dtype=float)
     return custom_distribution(weights=list(w / w.sum()))
+
+
+@st.composite
+def phased_pure_fields(draw):
+    """Multi-level pure fields with phases: coherent with |alpha| <= 4, or
+    3-8 custom amplitudes, some of them zero."""
+    if draw(st.booleans()):
+        return coherent_amplitudes(
+            cmath.rect(draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+        )
+    size = draw(st.integers(3, 8))
+    mods = draw(
+        st.lists(
+            st.just(0.0) | st.floats(0.05, 1.0), min_size=size, max_size=size
+        ).filter(lambda v: sum(v) > 0.0)
+    )
+    phases = draw(
+        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=size, max_size=size)
+    )
+    amps = np.array([cmath.rect(m, ph) for m, ph in zip(mods, phases)])
+    return custom_distribution(amplitudes=list(amps / np.linalg.norm(amps)))
 
 
 @st.composite
@@ -190,3 +212,29 @@ def test_rank_one_field_reduction_consistency(atom, level, profile, t):
     assert abs(via_pure.rho_ee - via_mixed.rho_ee) < 1e-12
     assert abs(via_pure.rho_gg - via_mixed.rho_gg) < 1e-12
     assert abs(via_pure.rho_eg - via_mixed.rho_eg) < 1e-12
+
+
+def _entries(rho):
+    return np.array([rho.rho_ee, rho.rho_gg, rho.rho_eg])
+
+
+@COMMON
+@given(atom_states(), phased_pure_fields(), profiles(), times)
+def test_reduced_kernel_matches_traced_joint_state(atom, field, profile, t):
+    rho0 = AtomDensityMatrix.from_atom_state(atom)
+    via_kernel = evolve_mixed(rho0, field, profile, t)
+    via_joint = reduced_atom(evolve_pure(atom, field, profile, t))
+    assert np.max(np.abs(_entries(via_kernel) - _entries(via_joint))) < 1e-12
+
+
+@COMMON
+@given(density_matrices(), phased_pure_fields(), profiles(), times)
+def test_mixed_atom_on_pure_field_is_eigen_mixture(rho0, field, profile, t):
+    vals, vecs = np.linalg.eigh(rho0.as_matrix())
+    mixture = sum(
+        w * _entries(reduced_atom(evolve_pure(AtomState(*v), field, profile, t)))
+        for w, v in zip(vals, vecs.T)
+        if w > 0.0
+    )
+    via_kernel = evolve_mixed(rho0, field, profile, t)
+    assert np.max(np.abs(_entries(via_kernel) - mixture)) < 1e-12

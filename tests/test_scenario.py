@@ -336,12 +336,14 @@ def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
     )
     table = run(parse_scenario(doc))
     assert table.data.shape[0] == 14
+    # The closed form takes every field through evolve_mixed; only the
+    # oracle keeps a pure and a mixed path.
     pure = "coherent" in field
-    evolve, other = ("pure", "mixed") if pure else ("mixed", "pure")
-    assert calls[f"evolve_{evolve}"] == 14 and calls[f"evolve_{other}"] == 0
-    assert calls[f"oracle_evolve_{evolve}"] == 2
+    kind, other = ("pure", "mixed") if pure else ("mixed", "pure")
+    assert calls["evolve_mixed"] == 14 and calls["evolve_pure"] == 0
+    assert calls[f"oracle_evolve_{kind}"] == 2
     assert calls[f"oracle_evolve_{other}"] == 0
-    assert calls["reduced_atom"] == (14 + 2 if pure else 0)
+    assert calls["reduced_atom"] == (2 if pure else 0)
 
 
 def test_run_mixed_oracle_check():
