@@ -265,31 +265,55 @@ def _cmatvec(m, v):
     return m @ v.real + 1j * (m @ v.imag)
 
 
+def _cos_sin(theta):
+    """(cos theta, sin theta) from one tan(theta/2), written into theta's
+    buffer and one more: c = 2/(1+t^2) - 1, s = 2t/(1+t^2).
+
+    One tan costs a fraction of a cos and a sin. Angle 0 gives exactly
+    (1, 0), and t^2 cannot overflow: tan of a finite double stays far
+    below 1e154.
+    """
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+    c = np.square(t)
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    s = np.multiply(t, c, out=t)
+    c -= 1.0
+    return c, s
+
+
 def _reduced_sums(rho, field, area):
     """Unconditioned (ee, gg, eg) columns of the atom for rho (x) field.
 
     Block n = (|e,n>, |g,n+1>) turns by theta_n = area * sqrt(n+1), the dark
     |g,0> by theta_-1 = 0. The field enters through its weights p_n and, if
-    pure, f_n = C_n conj(C_(n-1)) and h_n = C_(n+1) conj(C_(n-1)); only then
-    is sin(theta) taken. ``area`` is 1-D; results have one entry per area.
+    pure, f_n = C_n conj(C_(n-1)) and h_n = C_(n+1) conj(C_(n-1)). A term
+    whose atomic factor (rho_eg, rho_ee or rho_gg) is exactly 0 is skipped.
+    ``area`` is 1-D; results have one entry per area.
     """
     p, total = field.weights, field.weights.sum()
-    theta = _angles(area, 0.0, p.size + 1)
-    c = np.cos(theta)
+    c, s = _cos_sin(_angles(area, 0.0, p.size + 1))
     c_lo, c_hi = c[:, :-1], c[:, 1:]  # cos theta_(n-1), cos theta_n
+    s_lo, s_hi = s[:, :-1], s[:, 1:]
     # Corrections to the sums at area 0, which are then exactly rho * total.
     d = rho.rho_gg * np.append(p[1:], 0.0) - rho.rho_ee * p  # per block, g minus e
-    ee = rho.rho_ee * total + (1.0 - c_hi**2) @ d
-    eg = rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
+    ee = rho.rho_ee * total + (s_hi * s_hi) @ d
+    eg = np.zeros(area.size, dtype=complex)
+    if rho.rho_eg != 0:
+        eg += rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
     if field.amplitudes is not None:
         a = np.concatenate(([0.0], field.amplitudes, [0.0]))
         f, f_next = a[1:-1] * a[:-2].conj(), a[2:] * a[1:-1].conj()
-        s = np.sin(theta, out=theta)  # theta is not read again
-        s_lo, s_hi = s[:, :-1], s[:, 1:]
-        ee -= 2.0 * ((c_hi * s_hi) @ (rho.rho_eg * f_next.conj()).imag)
-        eg += _cmatvec(c_hi * s_lo, 1j * rho.rho_ee * f)
-        eg -= _cmatvec(s_hi * c_lo, 1j * rho.rho_gg * f_next)
-        eg += _cmatvec(s_hi * s_lo, np.conj(rho.rho_eg) * a[2:] * a[:-2].conj())
+        if rho.rho_eg != 0:
+            ee -= 2.0 * ((c_hi * s_hi) @ (rho.rho_eg * f_next.conj()).imag)
+        if rho.rho_ee != 0:
+            eg += _cmatvec(c_hi * s_lo, 1j * rho.rho_ee * f)
+        if rho.rho_gg != 0:
+            eg -= _cmatvec(s_hi * c_lo, 1j * rho.rho_gg * f_next)
+        if rho.rho_eg != 0:
+            eg += _cmatvec(
+                s_hi * s_lo, np.conj(rho.rho_eg) * a[2:] * a[:-2].conj()
+            )
     return ee, (rho.rho_ee + rho.rho_gg) * total - ee, eg
 
 

@@ -44,9 +44,8 @@ def format_csv(table) -> str:
         prefix = table.sweep_parameter + ","
     # "%.17g" renders a float exactly as format(value, ".17g") does.
     row = prefix.replace("%", "%%") + ",".join(["%.17g"] * table.data.shape[1])
-    lines = [",".join(header)]
-    lines.extend(row % tuple(values) for values in table.data.tolist())
-    return "\n".join(lines) + "\n"
+    body = "\n".join([row] * table.data.shape[0]) % tuple(table.data.ravel().tolist())
+    return ",".join(header) + "\n" + body + "\n"
 
 
 def emit_csv(table, path) -> None:
@@ -181,7 +180,8 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
     )
     for i, (label, x, y) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        xy = np.column_stack((sx(x), sy(y))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.4" '
             f'points="{points}"/>'

@@ -1,6 +1,7 @@
 """Closed-form evolution: block rotations, conservation, mixed sectors."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,10 +21,13 @@ from jcdyn import (
     evolve_pure,
     excitation_expectation,
     inversion_closed_form,
+    parse_scenario,
     population_inversion,
     reduced_atom,
+    run,
     thermal_weights,
 )
+from jcdyn import dynamics
 
 CONST = ConstantCoupling(1.0)
 
@@ -286,3 +290,90 @@ def test_time_zero_returns_initial_embedding():
     assert st.amps_e[-1] == 0.0 and st.amps_g[-1] == 0.0
     rho0 = AtomDensityMatrix.from_atom_state(atom)
     assert evolve_mixed(rho0, thermal_weights(1.0), CONST, 0.0) is rho0
+
+
+def _cos_sin_angles():
+    """Angles that stress the half-angle form: 0, a subnormal-adjacent one,
+    the doubles next to k*pi (tan(theta/2) near 0) and (2k+1)*pi (near a
+    pole), and uniform draws over three widths."""
+    ks = (1, 2, 3, 7, 10, 99, 1000, 12345, 10**5)
+    centres = [k * math.pi for k in ks] + [(2 * k + 1) * math.pi for k in ks]
+    near = []
+    for x in centres:
+        lo = hi = x
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+        near.append(x)
+    rng = np.random.default_rng(20261018)
+    draws = [rng.uniform(0.0, top, 200) for top in (400.0, 1e4, 1e6)]
+    return np.concatenate([[0.0, 1e-300], near, *draws])
+
+
+def test_cos_sin_matches_mpmath():
+    # cos and sin from one tan(theta/2) against 40-digit values at the
+    # exact double angle; eps * theta, the rounding the angle itself
+    # carries, is not part of this error.
+    theta = _cos_sin_angles()
+    c, s = dynamics._cos_sin(theta.copy())
+    assert c[0] == 1.0 and s[0] == 0.0
+    assert np.all(np.abs(c * c + s * s - 1.0) <= 1e-15)
+    with mpmath.workdps(40):
+        for x, ci, si in zip(theta.tolist(), c.tolist(), s.tolist()):
+            angle = mpmath.mpf(x)
+            assert abs(ci - mpmath.cos(angle)) <= 4e-16, x
+            assert abs(si - mpmath.sin(angle)) <= 4e-16, x
+
+
+def test_cos_sin_stays_finite_at_widest_angle():
+    # 1e300 is as wide as _angles admits; t^2 must not overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = dynamics._cos_sin(np.array([1e300, -1e300]))
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    assert np.all(np.abs(c * c + s * s - 1.0) <= 1e-15)
+
+
+@pytest.mark.parametrize(
+    "atom, field, per_chunk",
+    (
+        ("excited", {"coherent": 2}, 1),
+        ("ground", {"coherent": 2}, 1),
+        ("plus_x", {"coherent": 2}, 3),
+        ("excited", {"thermal": 2}, 0),
+        ("ground", {"thermal": 2}, 0),
+        ("plus_x", {"thermal": 2}, 0),
+    ),
+)
+def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_chunk):
+    # Each complex matvec carries one atomic factor (rho_ee, rho_gg or
+    # rho_eg); a factor that is exactly 0 costs no (T, N) work.
+    counts = {"chunks": 0, "cmatvec": 0}
+    reduced_sums, cmatvec = dynamics._reduced_sums, dynamics._cmatvec
+
+    def counted_sums(*args):
+        counts["chunks"] += 1
+        return reduced_sums(*args)
+
+    def counted_cmatvec(*args):
+        counts["cmatvec"] += 1
+        return cmatvec(*args)
+
+    monkeypatch.setattr(dynamics, "_reduced_sums", counted_sums)
+    monkeypatch.setattr(dynamics, "_cmatvec", counted_cmatvec)
+    scenario = parse_scenario(
+        {
+            "atom": atom,
+            "field": field,
+            "profile": {"constant": {"lambda0": 1}},
+            "time": {"t_end": 10, "steps": 51},
+        }
+    )
+    run(scenario)
+    assert counts == {"chunks": 1, "cmatvec": per_chunk}
+
+
+def test_excited_atom_on_mixed_field_has_no_coherence():
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
+    rho = evolve_mixed(rho0, thermal_weights(5.0), CONST, np.linspace(0.0, 20.0, 101))
+    assert np.all(rho.rho_eg == 0.0)

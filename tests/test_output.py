@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jcdyn import InvalidInputError, ResultTable, parse_scenario, run
-from jcdyn.output import emit_csv, emit_svg, format_csv
+from jcdyn.output import _series_from_table, emit_csv, emit_svg, format_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -175,3 +175,116 @@ def test_golden_svg_regression(tmp_path):
     path = tmp_path / "golden.svg"
     emit_svg(table, ["W", "S"], path)
     assert path.read_bytes() == (DATA / "inversion_entropy.svg").read_bytes()
+
+
+def per_point_polylines(table, selection, parametric):
+    """Polyline points formatted one point at a time, as emit_svg once did:
+    the reference its array form must match byte for byte. The plot area is
+    the default 720x480 chart less its margins."""
+    series = _series_from_table(table, tuple(selection), parametric)
+    plot_w, plot_h = 720 - 64 - 16, 480 - 16 - 44
+    xs = np.concatenate([s[1] for s in series])
+    ys = np.concatenate([s[2] for s in series])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def sx(v):
+        return 64 + (v - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(v):
+        return 16 + (y_hi - v) / (y_hi - y_lo) * plot_h
+
+    return [
+        " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        for _, x, y in series
+    ]
+
+
+@pytest.fixture(scope="module")
+def svg_cases():
+    sweep = run(
+        parse_scenario(
+            {
+                "atom": "excited",
+                "field": {"thermal": 1.0},
+                "profile": {"constant": {"lambda0": 1}},
+                "time": {"t_end": 12.0, "steps": 301},
+                "outputs": ["inversion", "entropy"],
+                "sweep": {"parameter": "mean_n", "values": [0.5, 1.0, 3.0]},
+            }
+        )
+    )
+    bloch = run(
+        parse_scenario(
+            {
+                "atom": "plus_x",
+                "field": {"coherent": 3},
+                "profile": {"sech": {"lambda0": 4, "zeta2": 0.3}},
+                "time": {"t_end": 30.0, "steps": 401},
+                "outputs": ["bloch"],
+            }
+        )
+    )
+    flat = ResultTable(
+        columns=("t", "W"), data=np.column_stack([np.linspace(0, 3, 7), np.ones(7)])
+    )
+    negative = ResultTable(
+        columns=("t", "A", "B"),
+        data=np.array([[-3.0, -1e-3, -7.5], [-1.0, -2.25, -0.125], [-0.5, -9.0, -2.0]]),
+    )
+    # x spans [0, 1] over 640 px, so k/5120 lands on k/8 px past the margin:
+    # 64.125, 64.375, 320.125, ... sit on a 5 in the third decimal.
+    x = np.array([0.0, 1.0, 3.0, 5.0, 2561.0, 5119.0, 5120.0]) / 5120.0
+    ties = ResultTable(columns=("t", "W"), data=np.column_stack([x, 8.0 * x]))
+    return {
+        "sweep": (sweep, ["W", "S"], False),
+        "parametric": (bloch, ["Rx", "Ry"], True),
+        "constant": (flat, ["W"], False),
+        "negative": (negative, ["A", "B"], False),
+        "negative_parametric": (negative, ["A", "B"], True),
+        "ties": (ties, ["W"], False),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ("sweep", "parametric", "constant", "negative", "negative_parametric", "ties"),
+)
+def test_svg_points_match_per_point_formatting(tmp_path, svg_cases, case):
+    table, selection, parametric = svg_cases[case]
+    path = tmp_path / "plot.svg"
+    emit_svg(table, selection, path, parametric=parametric)
+    points = [p.get("points") for p in svg_polylines(path)]
+    assert points == per_point_polylines(table, selection, parametric)
+
+
+def per_row_csv(table):
+    """CSV text formatted one row at a time, as format_csv once did."""
+    header = list(table.columns)
+    prefix = ""
+    if table.sweep_parameter is not None:
+        header = ["sweep_param"] + header
+        prefix = table.sweep_parameter + ","
+    lines = [",".join(header)]
+    lines.extend(
+        prefix + ",".join(format(v, ".17g") for v in row) for row in table.data.tolist()
+    )
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_row_formatting():
+    sweep_doc = {
+        "atom": "plus_x",
+        "field": {"thermal": 1.0},
+        "profile": {"linear": {"lambda0": 1, "zeta1": 0.2}},
+        "time": {"t_end": 9.0, "steps": 97},
+        "sweep": {"parameter": "mean_n", "values": [0.25, 2.0]},
+    }
+    for table in (run(golden_scenario()), run(parse_scenario(sweep_doc))):
+        assert format_csv(table) == per_row_csv(table)
