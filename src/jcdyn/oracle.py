@@ -1,7 +1,8 @@
 """Brute-force trajectory validator.
 
 Integrates the bare-basis Schrodinger equation block by block with a
-general-purpose ODE solver, sampling lambda(t) pointwise at every stage.
+general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` (or fixed-step
+RK4), sampling lambda(t) pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
@@ -34,8 +35,16 @@ RK4 = "rk4"
 _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex samples (times x 2 x integrated rows) one solve may hold:
-# 2^24, 256 MiB per copy, of which the solver keeps about three.
+# 2^24, 256 MiB per copy, of which a solve holds about two at its peak.
 MAX_ORACLE_SAMPLES = 2**24
+
+
+# The adaptive step cannot resolve a relative tolerance finer than 100 eps.
+REL_TOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,12 @@ class IntegratorConfig:
     method: str = ADAPTIVE
 
     def __post_init__(self):
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not (
-                isinstance(tol, (int, float)) and 0.0 < tol <= 1e-3
-            ):
-                raise InvalidInputError(f"{name} must lie in (0, 1e-3]")
+        if not (_is_real(self.rel_tol) and REL_TOL_FLOOR <= self.rel_tol <= 1e-3):
+            raise InvalidInputError(f"rel_tol must lie in [{REL_TOL_FLOOR:.3g}, 1e-3]")
+        if not (_is_real(self.abs_tol) and 0.0 < self.abs_tol <= 1e-3):
+            raise InvalidInputError("abs_tol must lie in (0, 1e-3]")
         if not (
-            isinstance(self.max_step, (int, float))
+            _is_real(self.max_step)
             and math.isfinite(self.max_step)
             and self.max_step > 0.0
         ):
@@ -70,11 +78,14 @@ class IntegratorConfig:
 DEFAULT_CONFIG = IntegratorConfig()
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: only the oracle needs scipy."""
-    from scipy.integrate import solve_ivp
+def solve_ivp(fun, t_span, y0, **options):
+    """``jcdyn.dop853.solve_ivp``, imported on first use, so that a run
+    without the oracle never loads the integrator. Takes scipy's
+    ``solve_ivp`` call shape and returns ``.y``, ``.nfev``, ``.success``
+    and ``.message``."""
+    from .dop853 import solve_ivp
 
-    return solve_ivp(*args, **kwargs)
+    return solve_ivp(fun, t_span, y0, **options)
 
 
 def _check_grid(t_grid):

@@ -220,6 +220,34 @@ print(json.dumps([table.data.shape[0], sorted(sys.modules)]))
     assert rows == BASIC["time"]["steps"]
     assert "numpy" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "jcdyn.dop853" not in modules
+
+
+def test_compare_loads_no_scipy(tmp_path):
+    # With sys.modules["scipy"] = None any scipy import raises, so exit 0
+    # shows that the oracle runs on numpy alone.
+    code = """
+import json, sys
+sys.modules["scipy"] = None
+import jcdyn.cli
+status = jcdyn.cli.main(["compare", sys.argv[1]])
+print(json.dumps([status, sorted(k for k, v in sys.modules.items() if v is not None)]))
+"""
+    doc = dict(BASIC, atom="plus_x", field={"thermal": 1.0})
+    path = write_scenario(tmp_path, doc)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall max deviation:" in proc.stdout
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert "jcdyn.dop853" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_predict_revival_constant(tmp_path, capsys):

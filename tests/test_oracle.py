@@ -67,6 +67,12 @@ def test_config_validation():
         IntegratorConfig(max_step=-0.1)
     with pytest.raises(InvalidInputError):
         IntegratorConfig(method="euler")
+    for name in ("rel_tol", "abs_tol", "max_step"):
+        with pytest.raises(InvalidInputError):
+            IntegratorConfig(**{name: True})
+    with pytest.raises(InvalidInputError, match=r"rel_tol must lie in \[2.22e-14, 1e-3\]"):
+        IntegratorConfig(rel_tol=2e-14)
+    assert IntegratorConfig(rel_tol=100 * np.finfo(float).eps).rel_tol == 2.220446049250313e-14
 
 
 def test_grid_validation():
@@ -267,8 +273,8 @@ def test_oracle_validates_the_span_once():
 
 
 def test_oracle_calls_solve_ivp_once_per_trajectory(tmp_path, monkeypatch, capsys):
-    # scipy's solver is imported on first use, but it stays reachable as the
-    # module attribute jcdyn.oracle.solve_ivp, called with y0 third.
+    # jcdyn.dop853 is imported on first use, but its solver stays reachable
+    # as the module attribute jcdyn.oracle.solve_ivp, called with y0 third.
     import json
 
     import jcdyn.cli as cli
