@@ -102,19 +102,22 @@ def _cmd_run(args):
     wrote_file = False
     stem = Path(args.scenario).stem
     out_dir = Path(args.out)
-    if args.csv or args.svg:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    if args.csv:
-        target = out_dir / f"{stem}.csv"
-        emit_csv(table, target)
-        print(target)
-        wrote_file = True
-    if args.svg:
-        selection, parametric = _parse_selection(args.svg)
-        target = out_dir / f"{stem}.svg"
-        emit_svg(table, selection, target, parametric=parametric)
-        print(target)
-        wrote_file = True
+    try:
+        if args.csv or args.svg:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        if args.csv:
+            target = out_dir / f"{stem}.csv"
+            emit_csv(table, target)
+            print(target)
+            wrote_file = True
+        if args.svg:
+            selection, parametric = _parse_selection(args.svg)
+            target = out_dir / f"{stem}.svg"
+            emit_svg(table, selection, target, parametric=parametric)
+            print(target)
+            wrote_file = True
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output: {exc}") from exc
     if not wrote_file:
         sys.stdout.write(format_csv(table))
 

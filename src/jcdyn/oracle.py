@@ -6,10 +6,13 @@ RK4), sampling lambda(t) pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
-once per trajectory. Both paths evolve joint pure states through one
-helper, and every block starts at its physical amplitude: the field
-amplitude C_n on the pure path, sqrt(w_k p_n) phi_k for mixture member k
-on the mixed path. So the solver tolerances act alike on both paths.
+once per trajectory. ``oracle_evolve_mixed`` takes any atom on any field,
+as ``evolve_mixed`` does, and returns the reduced atom;
+``oracle_evolve_pure`` returns the joint state of a pure atom on a pure
+field. Both evolve joint pure states through one helper, and every block
+starts at its physical amplitude, for atom eigen-member k of weight w_k:
+sqrt(w_k) phi_k C_n on a pure field, sqrt(w_k p_n) phi_k on a
+photon-diagonal one. So the solver tolerances act alike on every field.
 """
 
 from __future__ import annotations
@@ -226,33 +229,38 @@ def oracle_evolve_mixed(
     t_grid,
     config=DEFAULT_CONFIG,
 ) -> AtomDensityMatrix:
-    """Numerically integrated counterpart of the closed-form mixed evolution.
+    """Numerically integrated counterpart of ``evolve_mixed``, for any field.
 
-    Diagonalizes the atomic state and splits each eigenvector phi_k into
-    two joint pure states: its |e> part, sqrt(w_k p_n) phi_k,e on |e,n>,
-    and its |g> part, sqrt(w_k p_n) phi_k,g on |g,n>. Photon sector n of
-    member k keeps its |e> part in block n and its |g> part in block n - 1,
-    so the populations are sums of squared amplitudes and the coherence
-    pairs the |e> part's e_n with the |g> part's g_n. Returns the batch
-    form of AtomDensityMatrix, one row per grid time.
+    Diagonalizes the atomic state into members w_k phi_k. On a pure field
+    member k is one joint pure state sqrt(w_k) phi_k (x) C, whose photon
+    sectors are coherent, so the coherence pairs each state with itself. On
+    a photon-diagonal field member k splits into two joint pure states: its
+    |e> part, sqrt(w_k p_n) phi_k,e on |e,n>, and its |g> part,
+    sqrt(w_k p_n) phi_k,g on |g,n>. Photon sector n keeps the |e> part in
+    block n and the |g> part in block n - 1, so the populations are sums of
+    squared amplitudes and the coherence pairs the |e> part's e_n with the
+    |g> part's g_n. Returns the batch form of AtomDensityMatrix, one row per
+    grid time.
     """
-    if field.amplitudes is not None:
-        raise InvalidInputError("field is pure; oracle_evolve_pure handles it")
     grid = _check_grid(t_grid)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
     if vals[0] < -1e-10:
         raise InvalidInputError("atom state has a negative eigenvalue")
     keep = vals > _EIGENWEIGHT_FLOOR
-    amp = np.sqrt(vals[keep])[:, None] * np.sqrt(field.weights)  # sqrt(w_k p_n)
-    e0 = np.zeros((2 * amp.shape[0], field.n_max + 2), dtype=complex)
+    pure = field.amplitudes is not None
+    stride = 1 if pure else 2  # rows per member: one joint state, or e and g parts
+    amp = np.sqrt(vals[keep])[:, None] * (
+        field.amplitudes if pure else np.sqrt(field.weights)
+    )
+    e0 = np.zeros((stride * amp.shape[0], field.n_max + 2), dtype=complex)
     g0 = e0.copy()
-    e0[0::2, :-1] = vecs[0, keep][:, None] * amp  # |e> part of member k
-    g0[1::2, :-1] = vecs[1, keep][:, None] * amp  # |g> part of member k
+    e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
+    g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
     e, g = _evolve_joint(e0, g0, profile, grid, config)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(
         np.sum(np.abs(e) ** 2, axis=(1, 2)),
         np.sum(np.abs(g) ** 2, axis=(1, 2)),
-        np.sum(e[:, 0::2] * g[:, 1::2].conj(), axis=(1, 2)),
+        np.sum(e[:, 0::stride] * g[:, stride - 1 :: stride].conj(), axis=(1, 2)),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 
 import numpy as np
 
@@ -56,12 +57,19 @@ def emit_csv(table, path) -> None:
 
 
 def _nice_ticks(lo, hi, target=5):
-    """Round tick positions covering [lo, hi] on a 1-2-5 ladder."""
+    """Round tick positions covering [lo, hi] on a 1-2-5 ladder.
+
+    Returns at most target + 2 finite ticks. A span whose ladder step does
+    not fit between the smallest normal float and a tenth of the largest
+    gets its two ends.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / max(target, 1)
+    if not sys.float_info.min <= raw <= sys.float_info.max / 10:
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -70,7 +78,11 @@ def _nice_ticks(lo, hi, target=5):
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 0.5 * step:
+    # Past the largest float the sum turns inf, and where step is below half
+    # an ulp of value it stops moving; the length cap ends both.
+    while (
+        value <= hi + 0.5 * step and math.isfinite(value) and len(ticks) < target + 2
+    ):
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return ticks

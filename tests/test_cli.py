@@ -64,6 +64,23 @@ def test_run_parametric_svg(tmp_path):
     assert (tmp_path / "case.svg").exists()
 
 
+@pytest.mark.parametrize("flags", [["--csv"], ["--svg", "W"]], ids=["csv", "svg"])
+def test_run_unwritable_output_exits_2(tmp_path, capsys, flags):
+    path = write_scenario(tmp_path, BASIC)
+    # --out names an existing file, so the directory cannot be made.
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert cli.main(["run", str(path), "--out", str(blocker)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: cannot write output: ")
+    assert len(err.splitlines()) == 1
+    # The output file's own name is taken by a directory.
+    out_dir = tmp_path / "results"
+    (out_dir / ("case." + flags[0][2:])).mkdir(parents=True)
+    assert cli.main(["run", str(path), "--out", str(out_dir)] + flags) == 2
+    assert "cannot write output: " in capsys.readouterr().err
+
+
 def test_run_oracle_flag_reports_deviation(tmp_path, capsys):
     path = write_scenario(tmp_path, BASIC)
     assert cli.main(["run", str(path), "--oracle"]) == 0
@@ -223,9 +240,12 @@ print(json.dumps([table.data.shape[0], sorted(sys.modules)]))
     assert "jcdyn.dop853" not in modules
 
 
-def test_compare_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize(
+    "field", [{"thermal": 1.0}, {"coherent": 1.2}], ids=["thermal", "coherent"]
+)
+def test_compare_loads_no_scipy(tmp_path, field):
     # With sys.modules["scipy"] = None any scipy import raises, so exit 0
-    # shows that the oracle runs on numpy alone.
+    # shows that the oracle runs on numpy alone, for either kind of field.
     code = """
 import json, sys
 sys.modules["scipy"] = None
@@ -233,7 +253,7 @@ import jcdyn.cli
 status = jcdyn.cli.main(["compare", sys.argv[1]])
 print(json.dumps([status, sorted(k for k, v in sys.modules.items() if v is not None)]))
 """
-    doc = dict(BASIC, atom="plus_x", field={"thermal": 1.0})
+    doc = dict(BASIC, atom="plus_x", field=field)
     path = write_scenario(tmp_path, doc)
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ)

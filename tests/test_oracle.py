@@ -25,6 +25,7 @@ from jcdyn import (
     integrate_block,
     oracle_evolve_mixed,
     oracle_evolve_pure,
+    reduced_atom,
     run,
     thermal_weights,
 )
@@ -152,10 +153,41 @@ def test_oracle_rejects_mixed_field_on_pure_path():
         )
 
 
-def test_oracle_rejects_pure_field_on_mixed_path():
-    rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
-    with pytest.raises(InvalidInputError, match="field is pure"):
-        oracle_evolve_mixed(rho0, coherent_amplitudes(2.0), CONST, [0.0, 1.3])
+PURE_FIELDS = {
+    "coherent": coherent_amplitudes(1.5),
+    "custom_amplitudes": custom_distribution(amplitudes=[0.5, 0.5j, -0.5, 0.5]),
+}
+RHO_ENTRIES = ("rho_ee", "rho_gg", "rho_eg")
+
+
+def max_gap(a, b):
+    return max(np.max(np.abs(getattr(a, n) - getattr(b, n))) for n in RHO_ENTRIES)
+
+
+@pytest.mark.parametrize("field", PURE_FIELDS.values(), ids=PURE_FIELDS.keys())
+def test_mixed_oracle_takes_pure_fields(field):
+    grid = np.linspace(0.0, 8.0, 33)
+    prof = LinearCoupling(1.0, 0.16)
+    rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)  # rank 2
+    rhos = oracle_evolve_mixed(rho0, field, prof, grid)
+    assert max_gap(rhos, evolve_mixed(rho0, field, prof, grid)) < 1e-9
+    # The eigen-mixture of joint-state oracle runs, member by member.
+    vals, vecs = np.linalg.eigh(rho0.as_matrix())
+    members = [
+        reduced_atom(oracle_evolve_pure(AtomState(*vecs[:, k]), field, prof, grid))
+        for k in range(2)
+    ]
+    mixture = AtomDensityMatrix(
+        *(sum(w * getattr(m, n) for w, m in zip(vals, members)) for n in RHO_ENTRIES)
+    )
+    assert max_gap(rhos, mixture) < 1e-9
+    # A pure atom is one joint state, the one oracle_evolve_pure integrates.
+    atom = AtomState(0.8, 0.6j)
+    rhos = oracle_evolve_mixed(
+        AtomDensityMatrix.from_atom_state(atom), field, prof, grid
+    )
+    ref = reduced_atom(oracle_evolve_pure(atom, field, prof, grid))
+    assert max_gap(rhos, ref) < 1e-12
 
 
 def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):

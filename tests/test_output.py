@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import signal
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -175,6 +176,41 @@ def test_golden_svg_regression(tmp_path):
     path = tmp_path / "golden.svg"
     emit_svg(table, ["W", "S"], path)
     assert path.read_bytes() == (DATA / "inversion_entropy.svg").read_bytes()
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("emit_svg did not return")
+
+
+@pytest.mark.parametrize(
+    "field, lambda0, t_end",
+    [(0, 1e-300, 1.7e308), (1, 1, 5e-324)],
+    ids=["span_near_float_max", "span_underflows"],
+)
+def test_svg_extreme_time_span(tmp_path, field, lambda0, t_end):
+    # A tick ladder that overflows past hi, or a step that underflows to 0,
+    # must neither loop forever nor raise.
+    table = run(
+        parse_scenario(
+            {
+                "atom": "excited",
+                "field": {"coherent": field},
+                "profile": {"constant": {"lambda0": lambda0}},
+                "time": {"t_end": t_end, "steps": 3},
+            }
+        )
+    )
+    path = tmp_path / "extreme.svg"
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        emit_svg(table, ["W"], path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    text = path.read_text(encoding="utf-8")
+    assert "inf" not in text and "nan" not in text
+    ET.fromstring(text)
 
 
 def per_point_polylines(table, selection, parametric):

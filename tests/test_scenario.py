@@ -68,7 +68,9 @@ def test_error_paths():
     assert err_path(scen(profile={"constant": {}})) == "profile.constant"
     assert err_path(scen(time={"steps": 5})) == "time"
     assert err_path(scen(time={"t_end": 2, "steps": 1})) == "time.steps"
-    assert err_path(scen(time={"t_end": 2, "steps": 5, "t_start": 1})) == "time.t_start"
+    for t_start in (1, False):
+        time_node = {"t_end": 2, "steps": 5, "t_start": t_start}
+        assert err_path(scen(time=time_node)) == "time.t_start"
     assert err_path(scen(outputs=["inversion", "inversion"])) == "outputs[1]"
     assert err_path(scen(outputs=["heat"])) == "outputs[0]"
     assert err_path(scen(tail_epsilon=0)) == "tail_epsilon"
@@ -336,14 +338,11 @@ def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
     )
     table = run(parse_scenario(doc))
     assert table.data.shape[0] == 14
-    # The closed form takes every field through evolve_mixed; only the
-    # oracle keeps a pure and a mixed path.
-    pure = "coherent" in field
-    kind, other = ("pure", "mixed") if pure else ("mixed", "pure")
+    # Every field takes one closed form, evolve_mixed once per chunk, and
+    # one oracle, oracle_evolve_mixed once per case.
     assert calls["evolve_mixed"] == 14 and calls["evolve_pure"] == 0
-    assert calls[f"oracle_evolve_{kind}"] == 2
-    assert calls[f"oracle_evolve_{other}"] == 0
-    assert calls["reduced_atom"] == (2 if pure else 0)
+    assert calls["oracle_evolve_mixed"] == 2
+    assert calls["oracle_evolve_pure"] == 0 and calls["reduced_atom"] == 0
 
 
 def test_run_mixed_oracle_check():
