@@ -230,15 +230,10 @@ def _as_times(profile, t):
     return arr
 
 
-def _rate(profile, t):
-    """lambda(t) at times already checked by lambda_at; no validation."""
-    return profile.rate(t)
-
-
 def lambda_at(profile, t):
     """Coupling rate lambda(t). Accepts a scalar or an array of times."""
     arr = _as_times(profile, t)
-    out = _rate(profile, arr)
+    out = profile.rate(arr)
     return out if arr.ndim else float(out)
 
 

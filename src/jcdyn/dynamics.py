@@ -29,6 +29,11 @@ _NORM_TOL = 1e-12
 _RHO_TOL = 1e-10
 _TIME_ERROR = "t must be a finite non-negative number"
 
+# Most (time, level) entries the reduced-atom kernel holds at once, about
+# 1 MB per complex temporary however wide the field; a field with more
+# levels than half of it takes one time point per block.
+_BLOCK_ELEMENTS = 2**16
+
 
 def _first(values, bad):
     """The value at the first row flagged in ``bad``, as a Python number.
@@ -226,7 +231,7 @@ def _initial_amplitudes(atom: AtomState, field: PhotonDistribution):
 
 def _angles(area, k_min, k_end):
     """Angles area * sqrt(k), k = k_min .. k_end - 1, one row per area; the
-    widest is checked first, so overflow raises before the (T, N) product."""
+    widest is checked first, so overflow raises before the product."""
     top = float(np.max(np.abs(area), initial=0.0))
     if not math.isfinite(top * math.sqrt(k_end - 1)):
         raise InvalidInputError(
@@ -289,31 +294,41 @@ def _reduced_sums(rho, field, area):
     |g,0> by theta_-1 = 0. The field enters through its weights p_n and, if
     pure, f_n = C_n conj(C_(n-1)) and h_n = C_(n+1) conj(C_(n-1)). A term
     whose atomic factor (rho_eg, rho_ee or rho_gg) is exactly 0 is skipped.
-    ``area`` is 1-D; results have one entry per area.
+    ``area`` is 1-D; results have one entry per area. The areas are taken
+    in row blocks of at most ``_BLOCK_ELEMENTS`` (area, level) entries, so
+    no temporary grows with the number of areas.
     """
     p, total = field.weights, field.weights.sum()
-    c, s = _cos_sin(_angles(area, 0.0, p.size + 1))
-    c_lo, c_hi = c[:, :-1], c[:, 1:]  # cos theta_(n-1), cos theta_n
-    s_lo, s_hi = s[:, :-1], s[:, 1:]
     # Corrections to the sums at area 0, which are then exactly rho * total.
     d = rho.rho_gg * np.append(p[1:], 0.0) - rho.rho_ee * p  # per block, g minus e
-    ee = rho.rho_ee * total + (s_hi * s_hi) @ d
-    eg = np.zeros(area.size, dtype=complex)
-    if rho.rho_eg != 0:
-        eg += rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
     if field.amplitudes is not None:
         a = np.concatenate(([0.0], field.amplitudes, [0.0]))
         f, f_next = a[1:-1] * a[:-2].conj(), a[2:] * a[1:-1].conj()
+        # Each matvec's field vector times its atomic factor.
+        v_ee = (rho.rho_eg * f_next.conj()).imag
+        v_e, v_g = 1j * rho.rho_ee * f, 1j * rho.rho_gg * f_next
+        h = np.conj(rho.rho_eg) * a[2:] * a[:-2].conj()
+    ee = np.full(area.size, rho.rho_ee * total)
+    eg = np.zeros(area.size, dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // (p.size + 1))
+    for i in range(0, area.size, rows):
+        c, s = _cos_sin(_angles(area[i : i + rows], 0.0, p.size + 1))
+        c_lo, c_hi = c[:, :-1], c[:, 1:]  # cos theta_(n-1), cos theta_n
+        s_lo, s_hi = s[:, :-1], s[:, 1:]
+        ee_i, eg_i = ee[i : i + rows], eg[i : i + rows]  # views into the columns
+        ee_i += (s_hi * s_hi) @ d
         if rho.rho_eg != 0:
-            ee -= 2.0 * ((c_hi * s_hi) @ (rho.rho_eg * f_next.conj()).imag)
+            eg_i += rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
+        if field.amplitudes is None:
+            continue
+        if rho.rho_eg != 0:
+            ee_i -= 2.0 * ((c_hi * s_hi) @ v_ee)
         if rho.rho_ee != 0:
-            eg += _cmatvec(c_hi * s_lo, 1j * rho.rho_ee * f)
+            eg_i += _cmatvec(c_hi * s_lo, v_e)
         if rho.rho_gg != 0:
-            eg -= _cmatvec(s_hi * c_lo, 1j * rho.rho_gg * f_next)
+            eg_i -= _cmatvec(s_hi * c_lo, v_g)
         if rho.rho_eg != 0:
-            eg += _cmatvec(
-                s_hi * s_lo, np.conj(rho.rho_eg) * a[2:] * a[:-2].conj()
-            )
+            eg_i += _cmatvec(s_hi * s_lo, h)
     return ee, (rho.rho_ee + rho.rho_gg) * total - ee, eg
 
 
@@ -343,9 +358,9 @@ def evolve_mixed(
 ) -> AtomDensityMatrix:
     """Reduced atomic state at time t for any field, pure or mixed.
 
-    Traces the field out in closed form (``_reduced_sums``), keeping a pure
-    field's phases. A 1-D array of times gives the batch form; a single
-    time 0 returns ``atom`` itself.
+    Traces the field out in closed form (``_reduced_sums``, in bounded
+    memory however many times), keeping a pure field's phases. A 1-D array
+    of times gives the batch form; a single time 0 returns ``atom`` itself.
     """
     t = _check_times(t)
     single = np.ndim(t) == 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _rate, lambda_at
+from .coupling import lambda_at
 from .dynamics import (
     AtomDensityMatrix,
     AtomState,
@@ -104,26 +104,26 @@ def _check_grid(t_grid):
     return grid
 
 
-def _integrate_stack(blocks, y0, profile, t_grid, cfg):
+def _integrate_stack(blocks, y0, profile, grid, cfg):
     """Evolve stacked 2-level blocks; returns (T, B, 2) complex samples.
 
     Row i holds the (e, g) pair of block ``blocks[i]``, obeying
-    i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e).
+    i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
+    already checked by ``_check_grid``.
     """
-    grid = _check_grid(t_grid)
     y0 = np.asarray(y0, dtype=complex).reshape(-1, 2)
     t_end = float(grid[-1])
     if y0.shape[0] == 0 or t_end == 0.0:
         return np.broadcast_to(y0, (grid.size,) + y0.shape).copy()
     coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
-    # Validate the profile on the whole span once; each stage then evaluates
-    # the same rate expressions unchecked.
+    # Validate the profile on the whole span once; each stage then calls
+    # profile.rate unchecked.
     lambda_at(profile, np.array([0.0, t_end]))
 
     def lam(t):
         # Solver stages can round a hair outside [0, t_end]; clamp so
         # tabulated profiles stay in range.
-        return float(_rate(profile, min(max(float(t), 0.0), t_end)))
+        return float(profile.rate(min(max(float(t), 0.0), t_end)))
 
     pair_coef = np.repeat(coef, 2).reshape(-1, 2)
 
@@ -174,7 +174,8 @@ def integrate_block(n, initial, profile, t_grid, config=DEFAULT_CONFIG):
         raise InvalidInputError("initial must be a pair of amplitudes")
     if not np.all(np.isfinite(pair.view(float))):
         raise InvalidInputError("initial amplitudes must be finite")
-    return _integrate_stack([n], pair[None, :], profile, t_grid, config)[:, 0, :]
+    grid = _check_grid(t_grid)
+    return _integrate_stack([n], pair[None, :], profile, grid, config)[:, 0, :]
 
 
 def _evolve_joint(e0, g0, profile, grid, config):

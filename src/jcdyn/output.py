@@ -59,9 +59,9 @@ def emit_csv(table, path) -> None:
 def _nice_ticks(lo, hi, target=5):
     """Round tick positions covering [lo, hi] on a 1-2-5 ladder.
 
-    Returns at most target + 2 finite ticks. A span whose ladder step does
-    not fit between the smallest normal float and a tenth of the largest
-    gets its two ends.
+    Returns at most target + 2 distinct finite ticks. A span whose ladder
+    step does not fit between the smallest normal float and a tenth of the
+    largest gets its two ends.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
@@ -79,13 +79,14 @@ def _nice_ticks(lo, hi, target=5):
     ticks = []
     value = first
     # Past the largest float the sum turns inf, and where step is below half
-    # an ulp of value it stops moving; the length cap ends both.
+    # an ulp of value it stops moving; the length cap ends both, and a tick
+    # that did not move is kept once.
     while (
         value <= hi + 0.5 * step and math.isfinite(value) and len(ticks) < target + 2
     ):
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
-    return ticks
+    return list(dict.fromkeys(ticks))
 
 
 def _series_from_table(table, selection, parametric):

@@ -56,11 +56,6 @@ _PROFILE_BY_KEY = {cls.key: cls for cls in PROFILES}
 
 ORACLE_DEVIATION_LIMIT = 1e-6
 
-# Each chunk of the time grid holds at most this many (time, level) entries,
-# about 1 MB per complex temporary however wide the field; a field with more
-# levels than half of it gets one time point per chunk.
-_CHUNK_ELEMENTS = 2**16
-
 # Most rows a scenario may ask for, time points times sweep values (2^22,
 # 32 MiB per float column of the result table), checked at parse time
 # before the grid is allocated.
@@ -495,12 +490,7 @@ def _evolve_case(scenario, field_spec, profile, grid):
     def columns(rho):
         return _observable_columns(scenario.outputs, rho, mass * np.conj(rho.rho_eg))
 
-    rows = max(1, _CHUNK_ELEMENTS // (dist.n_max + 2))
-    chunks = [
-        columns(evolve_mixed(rho0, dist, profile, grid[i : i + rows]))
-        for i in range(0, grid.size, rows)
-    ]
-    cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    cols = columns(evolve_mixed(rho0, dist, profile, grid))
     if scenario.oracle_check:
         ref = columns(oracle_evolve_mixed(rho0, dist, profile, grid))
         cols.update({f"dev_{k}": np.abs(cols[k] - ref[k]) for k in ref})
@@ -510,7 +500,7 @@ def _evolve_case(scenario, field_spec, profile, grid):
 def run(scenario: Scenario) -> ResultTable:
     """Evaluate a scenario into a flat table, sweeps stacked lengthwise.
 
-    Each case walks the time grid in chunks of batched closed-form work,
+    Each case takes one batched closed-form call over the whole time grid,
     and sweep cases run one after another, so rows assemble in
     sweep-value-then-time order. With ``oracle_check`` set, each observable
     column gains a ``dev_`` companion holding the absolute gap to the

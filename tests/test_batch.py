@@ -27,13 +27,14 @@ from jcdyn import (
     coherent_amplitudes,
     evolve_mixed,
     evolve_pure,
+    inversion_closed_form,
     population_inversion,
     reduced_atom,
     run,
     thermal_weights,
     von_neumann_entropy,
 )
-from jcdyn import scenario as scenario_module
+from jcdyn import dynamics
 from jcdyn.scenario import AtomSpec, FieldSpec
 
 PROFILES = (
@@ -100,10 +101,10 @@ def assert_table_matches_per_point(scenario):
 @pytest.mark.parametrize("atom", ATOMS, ids=lambda a: a.kind)
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: type(p).__name__)
 def test_batched_run_matches_per_point_calls(monkeypatch, profile, atom, field):
-    # Shrink the chunk to five rows so a short grid crosses several chunk
-    # boundaries and ends on a partial chunk.
+    # Shrink the kernel's row block to five rows so a short grid crosses
+    # several block boundaries and ends on a partial block.
     n_levels = field.build(1e-12).n_max + 2
-    monkeypatch.setattr(scenario_module, "_CHUNK_ELEMENTS", 5 * n_levels)
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 5 * n_levels)
     steps = 23
     assert steps % 5 != 0
     outputs = ALL_OUTPUTS + (("coherence",) if field.is_pure else ())
@@ -132,7 +133,7 @@ def wide_pure_field(levels=33_000):
 )
 def test_single_row_chunks_for_a_large_field(field):
     dist = field.build(1e-12)
-    assert scenario_module._CHUNK_ELEMENTS // (dist.n_max + 2) <= 1  # one row per chunk
+    assert dynamics._BLOCK_ELEMENTS // (dist.n_max + 2) <= 1  # one row per block
     scenario = Scenario(
         atom=AtomSpec(kind="plus_x"),
         field=field,
@@ -165,7 +166,7 @@ def test_batch_evolution_matches_scalar_states():
 
 
 def test_run_memory_stays_bounded_for_a_wide_thermal_field():
-    # N = 5541 levels and T = 2001 times: one unchunked T x N float64
+    # N = 5541 levels and T = 2001 times: one unblocked T x N float64
     # temporary would take 89 MB.
     scenario = Scenario(
         atom=AtomSpec(kind="plus_x"),
@@ -182,6 +183,27 @@ def test_run_memory_stays_bounded_for_a_wide_thermal_field():
     finally:
         tracemalloc.stop()
     assert table.data.shape[0] == 2001
+    assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("layer", ("evolve_mixed", "inversion_closed_form"))
+def test_kernel_memory_stays_bounded_for_a_wide_thermal_field(layer):
+    # The public kernel entries block their own rows: on the same N = 5541,
+    # T = 2001 case they stay within the bound that run keeps.
+    field = thermal_weights(200.0)
+    profile = ConstantCoupling(1.0)
+    times = np.linspace(0.0, 20.0, 2001)
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.plus_x())
+    tracemalloc.start()
+    try:
+        if layer == "evolve_mixed":
+            column = evolve_mixed(rho0, field, profile, times).rho_ee
+        else:
+            column = inversion_closed_form(field, profile, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert column.shape == (2001,)
     assert peak < 32 * 2**20, peak
 
 

@@ -11,6 +11,7 @@ import jcdyn.cli as cli
 from jcdyn import (
     AtomDensityMatrix,
     AtomState,
+    ConstantCoupling,
     CustomCoupling,
     LinearCoupling,
     SechCoupling,
@@ -116,7 +117,10 @@ def test_step_failure_exits_3(tmp_path, monkeypatch, capsys):
     # A coupling that turns NaN halfway drives every step there to rejection
     # until the step is too small; the NaN arithmetic is expected, so numpy
     # is told not to warn about it.
-    monkeypatch.setattr(oracle, "_rate", lambda profile, t: np.nan if t > 1.0 else 1.0)
+    def rate(self, t):
+        return np.where(np.asarray(t) > 1.0, np.nan, 1.0)
+
+    monkeypatch.setattr(ConstantCoupling, "rate", rate)
     doc = {
         "atom": "excited",
         "field": {"coherent": 1},

@@ -335,7 +335,7 @@ def test_cos_sin_stays_finite_at_widest_angle():
 
 
 @pytest.mark.parametrize(
-    "atom, field, per_chunk",
+    "atom, field, per_block",
     (
         ("excited", {"coherent": 2}, 1),
         ("ground", {"coherent": 2}, 1),
@@ -345,14 +345,15 @@ def test_cos_sin_stays_finite_at_widest_angle():
         ("plus_x", {"thermal": 2}, 0),
     ),
 )
-def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_chunk):
+def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_block):
     # Each complex matvec carries one atomic factor (rho_ee, rho_gg or
-    # rho_eg); a factor that is exactly 0 costs no (T, N) work.
-    counts = {"chunks": 0, "cmatvec": 0}
+    # rho_eg); a factor that is exactly 0 costs no (T, N) work. The 51 times
+    # fit one row block.
+    counts = {"calls": 0, "cmatvec": 0}
     reduced_sums, cmatvec = dynamics._reduced_sums, dynamics._cmatvec
 
     def counted_sums(*args):
-        counts["chunks"] += 1
+        counts["calls"] += 1
         return reduced_sums(*args)
 
     def counted_cmatvec(*args):
@@ -370,7 +371,7 @@ def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_chu
         }
     )
     run(scenario)
-    assert counts == {"chunks": 1, "cmatvec": per_chunk}
+    assert counts == {"calls": 1, "cmatvec": per_block}
 
 
 def test_excited_atom_on_mixed_field_has_no_coherence():

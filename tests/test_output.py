@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from jcdyn import InvalidInputError, ResultTable, parse_scenario, run
-from jcdyn.output import _series_from_table, emit_csv, emit_svg, format_csv
+from jcdyn.output import (
+    _nice_ticks,
+    _series_from_table,
+    emit_csv,
+    emit_svg,
+    format_csv,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -211,6 +217,15 @@ def test_svg_extreme_time_span(tmp_path, field, lambda0, t_end):
     text = path.read_text(encoding="utf-8")
     assert "inf" not in text and "nan" not in text
     ET.fromstring(text)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e16, 1e16 + 2), (-1e16 - 2, -1e16)])
+def test_nice_ticks_are_distinct_on_a_span_of_a_few_ulps(lo, hi):
+    # Where the ladder step is below half an ulp of the tick, adding it does
+    # not move the tick; each tick must still appear once.
+    ticks = _nice_ticks(lo, hi)
+    assert ticks and len(set(ticks)) == len(ticks), ticks
+    assert all(lo - (hi - lo) <= t <= hi + (hi - lo) for t in ticks), ticks
 
 
 def per_point_polylines(table, selection, parametric):

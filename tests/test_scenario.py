@@ -314,7 +314,7 @@ def test_run_oracle_check_appends_dev_columns():
 @pytest.mark.parametrize(
     "field", [{"coherent": 1.2}, {"thermal": 0.5}], ids=["pure", "mixed"]
 )
-def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
+def test_run_calls_each_layer_once_per_case(monkeypatch, field):
     # The layers are looked up as jcdyn.scenario globals at call time, so
     # wrapping them there sees every call run makes.
     calls = dict.fromkeys(
@@ -329,7 +329,6 @@ def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
             return _layer(*args)
 
         monkeypatch.setattr(scenario_module, name, counted)
-    monkeypatch.setattr(scenario_module, "_CHUNK_ELEMENTS", 1)  # one row a chunk
     doc = scen(
         field=field,
         time={"t_end": 2, "steps": 7},
@@ -338,9 +337,9 @@ def test_run_calls_each_layer_once_per_chunk(monkeypatch, field):
     )
     table = run(parse_scenario(doc))
     assert table.data.shape[0] == 14
-    # Every field takes one closed form, evolve_mixed once per chunk, and
-    # one oracle, oracle_evolve_mixed once per case.
-    assert calls["evolve_mixed"] == 14 and calls["evolve_pure"] == 0
+    # Every field takes one closed form and one oracle, evolve_mixed and
+    # oracle_evolve_mixed, each once per case.
+    assert calls["evolve_mixed"] == 2 and calls["evolve_pure"] == 0
     assert calls["oracle_evolve_mixed"] == 2
     assert calls["oracle_evolve_pure"] == 0 and calls["reduced_atom"] == 0
 
