@@ -7,6 +7,7 @@ covers tabulated profiles and doubles as an independent cross-check of the
 closed forms.
 """
 
+import bisect
 import heapq
 import math
 import sys
@@ -198,7 +199,17 @@ class CustomCoupling(_Profile):
         return np.concatenate(([0.0], np.cumsum(seg)))
 
     def rate(self, t):
-        return np.interp(t, self._t, self._v)
+        if not isinstance(t, float) or math.isnan(t):
+            return np.interp(t, self._t, self._v)
+        # np.interp's own steps at one float, without its array set-up.
+        times, values = self.times, self.values
+        j = bisect.bisect_right(times, t) - 1
+        if j < 0:
+            return values[0]
+        if j == len(times) - 1 or times[j] == t:
+            return values[j]
+        slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+        return slope * (t - times[j]) + values[j]
 
     def area(self, t):
         idx = np.searchsorted(self._t, t, side="right") - 1

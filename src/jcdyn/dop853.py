@@ -169,20 +169,23 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol):
     return min(100 * h0, h1, interval, max_step)
 
 
-def _dense_output(fun, K, t_old, h, y_old, y, f, x, out):
-    """Write the order-7 interpolant at step fractions ``x`` into ``out``."""
+def _dense_output(fun, K, a, d, t_old, h, y_old, y, f, x, out):
+    """Write the order-7 interpolant at step fractions ``x`` into ``out``;
+    ``a`` and ``d`` are ``A`` and ``D`` in the state's dtype."""
     for s in range(N_STAGES + 1, C.size):
-        K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
+        K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, a[s, :s]) * h)
     delta = y - y_old
     F = np.empty((7, y.size), dtype=y.dtype)
     F[0] = delta
     F[1] = h * K[0] - delta
     F[2] = 2 * delta - h * (f + K[0])
-    F[3:] = h * np.dot(D, K)
+    np.dot(d, K, out=F[3:])
+    F[3:] *= h
     out.fill(0)  # summed onto +0 as scipy does, which turns a -0 term into +0
+    x_rest = 1 - x
     for k, term in enumerate(F[::-1]):
         out += term
-        out *= x if k % 2 == 0 else 1 - x
+        out *= x if k % 2 == 0 else x_rest
     out += y_old
 
 
@@ -207,6 +210,8 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
         raise ValueError("need rtol >= 100 eps, atol >= 0 and max_step > 0")
     dtype = complex if np.iscomplexobj(y0) else float
     y = np.asarray(y0, dtype=dtype)
+    # The tableau in the state's dtype, so no stage sum casts it again.
+    a, b, e5, e3, d = (m.astype(dtype) for m in (A, B, E5, E3, D))
     nfev = 0
 
     def counted(t, y):
@@ -234,13 +239,13 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
             h_abs = np.abs(h)
             K[0] = f
             for s in range(1, N_STAGES):
-                K[s] = counted(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
+                K[s] = counted(t + C[s] * h, y + np.dot(K[:s].T, a[s, :s]) * h)
+            y_new = y + h * np.dot(K[:N_STAGES].T, b)
             f_new = counted(t + h, y_new)
             K[N_STAGES] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, E3) / scale) ** 2
+            err5 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, e5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, e3) / scale) ** 2
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:
@@ -254,7 +259,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
         stop = np.searchsorted(t_eval, t_new, side="right")
         if stop > done:
             x = ((t_eval[done:stop] - t) / h)[:, None]
-            _dense_output(counted, K, t, h, y, y_new, f_new, x, out[done:stop])
+            _dense_output(counted, K, a, d, t, h, y, y_new, f_new, x, out[done:stop])
             done = stop
         t, y, f = t_new, y_new, f_new
     return Solution(out.T, nfev, True, REACHED_END)

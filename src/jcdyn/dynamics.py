@@ -31,7 +31,8 @@ _TIME_ERROR = "t must be a finite non-negative number"
 
 # Most (time, level) entries the reduced-atom kernel holds at once, about
 # 1 MB per complex temporary however wide the field; a field with more
-# levels than half of it takes one time point per block.
+# levels than half of it takes one time point per block. The oracle reduces
+# its (time, sample) rows in blocks of the same budget.
 _BLOCK_ELEMENTS = 2**16
 
 

@@ -27,6 +27,7 @@ from .dynamics import (
     AtomDensityMatrix,
     AtomState,
     JointPureState,
+    _BLOCK_ELEMENTS,
     _initial_amplitudes,
 )
 from .errors import InvalidInputError, NumericalFailureError
@@ -38,7 +39,7 @@ RK4 = "rk4"
 _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex samples (times x 2 x integrated rows) one solve may hold:
-# 2^24, 256 MiB per copy, of which a solve holds about two at its peak.
+# 2^24, 256 MiB, and a solve holds about one copy at its peak.
 MAX_ORACLE_SAMPLES = 2**24
 
 
@@ -160,7 +161,8 @@ def _integrate_stack(blocks, y0, profile, grid, cfg):
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[i] = y
     out = np.ascontiguousarray(out).reshape(grid.size, -1, 2)
-    if not np.all(np.isfinite(out.view(float))):
+    # A NaN or inf anywhere makes the sum non-finite, with no mask allocated.
+    if not math.isfinite(np.sum(out.view(float))):
         raise NumericalFailureError("reference integrator produced non-finite values")
     return out
 
@@ -178,14 +180,14 @@ def integrate_block(n, initial, profile, t_grid, config=DEFAULT_CONFIG):
     return _integrate_stack([n], pair[None, :], profile, grid, config)[:, 0, :]
 
 
-def _evolve_joint(e0, g0, profile, grid, config):
-    """Evolve S joint pure states in one solver call; returns (e, g), each
-    of shape (T, S, n_max + 2).
+def _integrate_rows(e0, g0, profile, grid, config):
+    """Evolve S joint pure states in one solver call; returns (s, n, samples).
 
     Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
     ``_initial_amplitudes`` lays it out: block n pairs e0[s, n] with
     g0[s, n+1], and the dark amplitude g0[s, 0] stays put. A block that
-    starts at zero stays zero, so it is not integrated.
+    starts at zero stays zero, so only the blocks (s[r], n[r]) that start
+    nonzero are integrated; samples[:, r] is their (e_s[n], g_s[n+1]).
     """
     s, n = np.nonzero((e0[:, :-1] != 0) | (g0[:, 1:] != 0))
     count = grid.size * 2 * s.size
@@ -196,12 +198,7 @@ def _evolve_joint(e0, g0, profile, grid, config):
     samples = _integrate_stack(
         n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid, config
     )
-    e = np.zeros((grid.size,) + e0.shape, dtype=complex)
-    g = np.zeros_like(e)
-    e[:, s, n] = samples[:, :, 0]
-    g[:, s, n + 1] = samples[:, :, 1]
-    g[:, :, 0] = g0[:, 0]
-    return e, g
+    return s, n, samples
 
 
 def oracle_evolve_pure(
@@ -219,8 +216,13 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     grid = _check_grid(t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
-    e, g = _evolve_joint(e0[None], g0[None], profile, grid, config)
-    return JointPureState(e[:, 0], g[:, 0], grid)
+    _, n, samples = _integrate_rows(e0[None], g0[None], profile, grid, config)
+    e = np.zeros((grid.size, e0.size), dtype=complex)
+    g = np.zeros_like(e)
+    e[:, n] = samples[:, :, 0]
+    g[:, n + 1] = samples[:, :, 1]
+    g[:, 0] = g0[0]
+    return JointPureState(e, g, grid)
 
 
 def oracle_evolve_mixed(
@@ -240,8 +242,9 @@ def oracle_evolve_mixed(
     sqrt(w_k p_n) phi_k,g on |g,n>. Photon sector n keeps the |e> part in
     block n and the |g> part in block n - 1, so the populations are sums of
     squared amplitudes and the coherence pairs the |e> part's e_n with the
-    |g> part's g_n. Returns the batch form of AtomDensityMatrix, one row per
-    grid time.
+    |g> part's g_n. These sums are read straight off the solver's rows, in
+    time blocks, without building the joint states. Returns the batch form
+    of AtomDensityMatrix, one row per grid time.
     """
     grid = _check_grid(t_grid)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
@@ -257,11 +260,32 @@ def oracle_evolve_mixed(
     g0 = e0.copy()
     e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
     g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
-    e, g = _evolve_joint(e0, g0, profile, grid, config)
+    s, n, samples = _integrate_rows(e0, g0, profile, grid, config)
+    # rho_eg pairs row (s, n) of an |e> part, s % stride == 0, with row
+    # (s + stride - 1, n - 1) of its |g> part, which holds g[n]; for n = 0 the
+    # column index -1 finds no row and the dark g0[s + stride - 1, 0] stands in.
+    row = np.full(e0.shape, -1)
+    row[s, n] = np.arange(s.size)
+    e_rows = np.flatnonzero(s % stride == 0)
+    g_of = s[e_rows] + stride - 1
+    partner = row[g_of, n[e_rows] - 1]
+    paired = partner >= 0
+    r_e, r_g = e_rows[paired], partner[paired]
+    at_zero = n[e_rows] == 0
+    r_dark, g_dark = e_rows[at_zero], g0[g_of[at_zero], 0].conj()
+    dark_gg = np.sum(np.abs(g0[:, 0]) ** 2)
+    ee = np.empty(grid.size)
+    gg = np.empty(grid.size)
+    eg = np.empty(grid.size, dtype=complex)
+    # Time blocks bound the temporaries as the closed-form kernel's are bound.
+    step = max(1, _BLOCK_ELEMENTS // max(1, samples[0].size))
+    for i in range(0, grid.size, step):
+        block = samples[i : i + step]
+        sq = np.sum(np.abs(block) ** 2, axis=1)
+        ee[i : i + step] = sq[:, 0]
+        gg[i : i + step] = sq[:, 1] + dark_gg
+        eg[i : i + step] = np.sum(block[:, r_e, 0] * block[:, r_g, 1].conj(), axis=1)
+        eg[i : i + step] += block[:, r_dark, 0] @ g_dark
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
-    return AtomDensityMatrix.conditioned(
-        np.sum(np.abs(e) ** 2, axis=(1, 2)),
-        np.sum(np.abs(g) ** 2, axis=(1, 2)),
-        np.sum(e[:, 0::stride] * g[:, stride - 1 :: stride].conj(), axis=(1, 2)),
-    )
+    return AtomDensityMatrix.conditioned(ee, gg, eg)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jcdyn.coupling as coupling_mod
@@ -202,3 +202,36 @@ def test_quadrature_property(case):
     assert coupling_area_numeric(prof, t, tol=1e-10) == pytest.approx(
         coupling_area(prof, t), abs=1e-8
     )
+
+
+@st.composite
+def table_and_times(draw):
+    steps = draw(st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=10))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    assume(np.all(np.diff(times) > 0.0))
+    values = draw(
+        st.lists(st.floats(-1e6, 1e6), min_size=times.size, max_size=times.size)
+    )
+    # Every knot with both float neighbours, 0 and t_max, and points between.
+    probes = np.concatenate(
+        (
+            times,
+            np.nextafter(times, -np.inf),
+            np.nextafter(times, np.inf),
+            [0.0, times[-1]],
+            times[-1] * np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=20))),
+        )
+    )
+    return CustomCoupling(times=tuple(times), values=tuple(values)), probes.tolist()
+
+
+@given(table_and_times())
+@settings(max_examples=200, deadline=None)
+def test_custom_rate_at_a_float_is_np_interp_bit_for_bit(case):
+    # The oracle evaluates the rate at one Python float per stage; that path
+    # skips np.interp and must return its bits, signed zeros included.
+    prof, probes = case
+    for t in probes:
+        got = prof.rate(t)
+        want = np.interp(t, prof.times, prof.values)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), t

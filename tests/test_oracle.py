@@ -1,6 +1,7 @@
 """Reference integrator: frozen values, convergence order, cross-checks."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -223,6 +224,86 @@ def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
     assert np.all(states.amps_e[:, -2:] == 0.0)
     assert np.all(states.amps_g[:, -1] == 0.0)
     assert np.all(states.amps_g[:, 0] == coherent.amplitudes[0])
+
+
+PAIRING_ATOMS = {
+    "excited": AtomDensityMatrix(1.0, 0.0, 0.0),
+    "ground": AtomDensityMatrix(0.0, 1.0, 0.0),
+    "plus_x": AtomDensityMatrix.from_atom_state(AtomState.plus_x()),
+    "rank2": AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j),
+}
+PAIRING_FIELDS = {"thermal": thermal_weights(1.2), "coherent": coherent_amplitudes(2.0)}
+
+
+@pytest.mark.parametrize("field_name", PAIRING_FIELDS)
+@pytest.mark.parametrize("atom_name", PAIRING_ATOMS)
+def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
+    atom_name, field_name, monkeypatch
+):
+    # The reduction reads the solver's rows directly; scattering the same
+    # rows back into joint states and reducing those must agree with it.
+    from jcdyn import oracle
+
+    seen = []
+    original = oracle._integrate_rows
+
+    def capturing(e0, g0, *args):
+        out = original(e0, g0, *args)
+        seen.append((e0, g0) + out)
+        return out
+
+    monkeypatch.setattr(oracle, "_integrate_rows", capturing)
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 400)  # several time blocks
+    field = PAIRING_FIELDS[field_name]
+    grid = np.linspace(0.0, 3.0, 13)
+    rhos = oracle_evolve_mixed(
+        PAIRING_ATOMS[atom_name], field, SechCoupling(1.0, 0.2), grid
+    )
+    ((e0, g0, s, n, samples),) = seen
+    if (atom_name, field_name) == ("ground", "coherent"):
+        assert s.size == field.n_max  # the top block pairs two empty slots
+    e = np.zeros((grid.size,) + e0.shape, dtype=complex)
+    g = np.zeros_like(e)
+    e[:, s, n] = samples[:, :, 0]
+    g[:, s, n + 1] = samples[:, :, 1]
+    g[:, :, 0] = g0[:, 0]
+    # Joint states per atom member: one on a pure field, |e> and |g> parts
+    # on a photon-diagonal one.
+    k = 1 if field.amplitudes is not None else 2
+    ref = AtomDensityMatrix.conditioned(
+        np.sum(np.abs(e) ** 2, axis=(1, 2)),
+        np.sum(np.abs(g) ** 2, axis=(1, 2)),
+        np.sum(e[:, 0::k] * g[:, k - 1 :: k].conj(), axis=(1, 2)),
+    )
+    assert max_gap(rhos, ref) < 1e-15
+
+
+def test_mixed_oracle_holds_one_sample_copy(monkeypatch):
+    # The solver's samples are the one array that grows with times x rows;
+    # the reduction adds only time blocks bounded like the kernel's.
+    from jcdyn import oracle
+
+    y0_sizes = []
+    original = oracle.solve_ivp
+
+    def sizing(*args, **kwargs):
+        y0_sizes.append(np.asarray(args[2]).size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", sizing)
+    grid = np.linspace(0.0, 4.0, 201)
+    rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
+    tracemalloc.start()
+    try:
+        oracle_evolve_mixed(
+            rho0, thermal_weights(20.0), SinusoidalCoupling(1.0, 0.5), grid
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (size,) = y0_sizes
+    sample_bytes = grid.size * size * np.dtype(complex).itemsize
+    assert peak <= 1.25 * sample_bytes
 
 
 def test_rk4_and_adaptive_agree():
