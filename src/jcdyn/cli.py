@@ -18,7 +18,9 @@ from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFailureError
 from .observables import revival_time
-from .output import emit_csv, emit_svg, format_csv
+# format_csv is not called here; it stays importable from this module,
+# where bench/run.py's tracer wraps it by name.
+from .output import emit_csv, emit_svg, format_csv, write_csv  # noqa: F401
 from .scenario import ORACLE_DEVIATION_LIMIT, parse_scenario, run
 
 EXIT_OK = 0
@@ -119,7 +121,7 @@ def _cmd_run(args):
     except OSError as exc:
         raise InvalidInputError(f"cannot write output: {exc}") from exc
     if not wrote_file:
-        sys.stdout.write(format_csv(table))
+        write_csv(table, sys.stdout)
 
     if table.max_oracle_deviation is not None:
         print(

@@ -9,12 +9,20 @@ dependency; files open directly in a browser.
 from __future__ import annotations
 
 import html
+import itertools
 import math
+import os
 import sys
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+# Values formatted per block by _format_blocks. One block's Python floats,
+# `%` template and text peak near 0.5 MiB, whatever the table's length. The
+# peak RSS of a run writing CSV and SVG is flat from 2^10 to 2^14 values per
+# block and rises from 2^15 on, as the blocks approach the whole table.
+_BLOCK_VALUES = 2**13
 
 _PALETTE = (
     "#1f77b4",
@@ -28,15 +36,33 @@ _PALETTE = (
 )
 
 
-def format_csv(table) -> str:
-    """CSV text for a result table: header row, LF endings.
+def _format_blocks(rows_at, count, width, row, sep):
+    """Yield ``sep.join(row % tuple(r) for r in rows_at(0, count))`` in pieces.
+
+    ``rows_at(start, stop)`` gives rows start..stop-1 as a (rows, width)
+    array, and ``row`` formats one of them. Each piece covers at most
+    _BLOCK_VALUES values (one row at least) and is formatted with one `%`,
+    so only one block's floats and text exist at a time. This is the only
+    place that formats CSV rows and SVG points.
+    """
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    for start in range(0, count, step):
+        block = rows_at(start, min(start + step, count))
+        template = (sep if start else "") + sep.join([row] * len(block))
+        yield template % tuple(block.ravel().tolist())
+
+
+def _csv_pieces(table):
+    """The CSV text of a table as an iterator: header line, then row blocks.
 
     Sweep tables gain a leading ``sweep_param`` column repeating the swept
-    parameter's name, for long-format consumers.
+    parameter's name, for long-format consumers. The table is checked on the
+    call, before any piece is formatted or any file opened.
     """
     if table.data.ndim != 2 or table.data.shape[0] == 0:
         raise InvalidInputError("table has no rows")
-    if table.data.shape[1] != len(table.columns):
+    rows, width = table.data.shape
+    if width != len(table.columns):
         raise InvalidInputError("column names do not match the data width")
     header = list(table.columns)
     prefix = ""
@@ -44,16 +70,46 @@ def format_csv(table) -> str:
         header = ["sweep_param"] + header
         prefix = table.sweep_parameter + ","
     # "%.17g" renders a float exactly as format(value, ".17g") does.
-    row = prefix.replace("%", "%%") + ",".join(["%.17g"] * table.data.shape[1])
-    body = "\n".join([row] * table.data.shape[0]) % tuple(table.data.ravel().tolist())
-    return ",".join(header) + "\n" + body + "\n"
+    row = prefix.replace("%", "%%") + ",".join(["%.17g"] * width) + "\n"
+    blocks = _format_blocks(
+        lambda start, stop: table.data[start:stop], rows, width, row, ""
+    )
+    return itertools.chain([",".join(header) + "\n"], blocks)
+
+
+def format_csv(table) -> str:
+    """CSV text for a result table: header row, LF endings."""
+    return "".join(_csv_pieces(table))
+
+
+def write_csv(table, stream) -> None:
+    """Write the table's CSV text to an open text ``stream``, block by block."""
+    stream.writelines(_csv_pieces(table))
+
+
+def _write_replacing(path, pieces):
+    """Write text pieces to ``path`` through a sibling ``<name>.tmp`` file.
+
+    The temp file is moved onto ``path`` after the last piece, so ``path``
+    holds either its old content or the whole new text. On any failure the
+    temp file is removed and the error propagates.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def emit_csv(table, path) -> None:
     """Write the table as UTF-8 CSV at ``path``."""
-    text = format_csv(table)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_replacing(path, _csv_pieces(table))
 
 
 def _nice_ticks(lo, hi, target=5):
@@ -138,10 +194,12 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    xs = np.concatenate([s[1] for s in series])
-    ys = np.concatenate([s[2] for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    # np.min/np.max of the per-series extremes give the same floats as over
+    # the concatenated series (a NaN included) without copying them.
+    x_lo = float(np.min([x.min() for _, x, _ in series]))
+    x_hi = float(np.max([x.max() for _, x, _ in series]))
+    y_lo = float(np.min([y.min() for _, _, y in series]))
+    y_hi = float(np.max([y.max() for _, _, y in series]))
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
@@ -191,20 +249,31 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
         f'<text x="{margin_l + plot_w / 2:.2f}" y="{height - 8}" '
         f'text-anchor="middle" {text_style}>{html.escape(x_label)}</text>'
     )
-    for i, (label, x, y) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        xy = np.column_stack((sx(x), sy(y))).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.4" '
-            f'points="{points}"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l + plot_w - 6:.2f}" '
-            f'y="{margin_t + 14 + 14 * i:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">'
-            f"{html.escape(label)}</text>"
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+
+    def pieces():
+        yield "\n".join(parts) + "\n"
+        for i, (label, x, y) in enumerate(series):
+            color = _PALETTE[i % len(_PALETTE)]
+            yield (
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.4" '
+                'points="'
+            )
+            yield from _format_blocks(
+                lambda start, stop: np.column_stack(
+                    (sx(x[start:stop]), sy(y[start:stop]))
+                ),
+                len(x),
+                2,
+                "%.2f,%.2f",
+                " ",
+            )
+            yield (
+                '"/>\n'
+                f'<text x="{margin_l + plot_w - 6:.2f}" '
+                f'y="{margin_t + 14 + 14 * i:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="11" fill="{color}">'
+                f"{html.escape(label)}</text>\n"
+            )
+        yield "</svg>\n"
+
+    _write_replacing(path, pieces())

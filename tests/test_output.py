@@ -1,14 +1,18 @@
 """CSV and SVG emission: format contract, round-trips, golden plot."""
 
+import errno
+import json
 import math
+import os
 import pathlib
 import signal
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from jcdyn import InvalidInputError, ResultTable, parse_scenario, run
+from jcdyn import InvalidInputError, ResultTable, cli, output, parse_scenario, run
 from jcdyn.output import (
     _nice_ticks,
     _series_from_table,
@@ -70,8 +74,8 @@ def test_csv_sweep_layout():
     assert lines[3].startswith("mean_n,2,")
 
 
-@pytest.mark.parametrize("sweep", (None, "mean_n", "odd%sname"))
-def test_csv_matches_per_cell_formatting(sweep):
+def per_cell_case(sweep):
+    """A table of awkward values and its CSV rows formatted cell by cell."""
     values = np.array(
         [
             [0.0, -0.0, 5e-324, 0.1],
@@ -88,6 +92,12 @@ def test_csv_matches_per_cell_formatting(sweep):
     expected = [
         prefix + ",".join(format(float(v), ".17g") for v in row) for row in values
     ]
+    return table, expected
+
+
+@pytest.mark.parametrize("sweep", (None, "mean_n", "odd%sname"))
+def test_csv_matches_per_cell_formatting(sweep):
+    table, expected = per_cell_case(sweep)
     assert format_csv(table).splitlines()[1:] == expected
 
 
@@ -329,13 +339,158 @@ def per_row_csv(table):
     return "\n".join(lines) + "\n"
 
 
+SWEEP_DOC = {
+    "atom": "plus_x",
+    "field": {"thermal": 1.0},
+    "profile": {"linear": {"lambda0": 1, "zeta1": 0.2}},
+    "time": {"t_end": 9.0, "steps": 97},
+    "sweep": {"parameter": "mean_n", "values": [0.25, 2.0]},
+}
+
+
 def test_csv_bytes_match_per_row_formatting():
-    sweep_doc = {
-        "atom": "plus_x",
-        "field": {"thermal": 1.0},
-        "profile": {"linear": {"lambda0": 1, "zeta1": 0.2}},
-        "time": {"t_end": 9.0, "steps": 97},
-        "sweep": {"parameter": "mean_n", "values": [0.25, 2.0]},
-    }
-    for table in (run(golden_scenario()), run(parse_scenario(sweep_doc))):
+    for table in (run(golden_scenario()), run(parse_scenario(SWEEP_DOC))):
         assert format_csv(table) == per_row_csv(table)
+
+
+# Block sizes that split every table below into several blocks, the last one
+# ragged: 50 values give 16 rows of the 3-column golden table (201 rows) and
+# 6 rows of the 8-column sweep table (194 rows); 1 value forces one row per
+# block, fewer values than a row holds.
+SMALL_BLOCKS = (1, 5, 50)
+
+
+@pytest.mark.parametrize("block_values", SMALL_BLOCKS)
+def test_csv_writers_match_references_across_blocks(
+    tmp_path, capsys, monkeypatch, block_values
+):
+    monkeypatch.setattr(output, "_BLOCK_VALUES", block_values)
+    for sweep in (None, "mean_n", "odd%sname"):
+        table, expected = per_cell_case(sweep)
+        assert format_csv(table).splitlines()[1:] == expected
+    for name, doc in (("golden", None), ("sweep", SWEEP_DOC)):
+        table = run(golden_scenario() if doc is None else parse_scenario(doc))
+        reference = per_row_csv(table)
+        assert format_csv(table) == reference
+        emit_csv(table, tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == reference.encode()
+    # The CLI's stdout path, on the sweep document.
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps(SWEEP_DOC), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["run", str(scenario)]) == 0
+    assert capsys.readouterr().out == reference
+
+
+@pytest.mark.parametrize("block_values", (1, 5))
+@pytest.mark.parametrize(
+    "case",
+    ("sweep", "parametric", "constant", "negative", "negative_parametric", "ties"),
+)
+def test_svg_points_match_per_point_formatting_across_blocks(
+    tmp_path, svg_cases, monkeypatch, case, block_values
+):
+    # 5 values hold 2 points: every polyline spans several blocks, and the
+    # 3- and 7-point ones end in a ragged block.
+    monkeypatch.setattr(output, "_BLOCK_VALUES", block_values)
+    table, selection, parametric = svg_cases[case]
+    path = tmp_path / "plot.svg"
+    emit_svg(table, selection, path, parametric=parametric)
+    points = [p.get("points") for p in svg_polylines(path)]
+    assert points == per_point_polylines(table, selection, parametric)
+
+
+def long_table(steps):
+    """An 11-column table of full-precision values, as coherent_pulse's."""
+    rng = np.random.default_rng(steps)
+    data = rng.standard_normal((steps, 11))
+    data[:, 0] = np.linspace(0.0, 80.0, steps)
+    columns = ("t", "W", "S", "Rx", "Ry", "Rz", "purity") + tuple(
+        f"c{k}" for k in range(4)
+    )
+    return ResultTable(columns=columns, data=data)
+
+
+@pytest.mark.parametrize("steps", (5_001, 50_001))
+@pytest.mark.parametrize("kind", ("csv", "svg"))
+def test_writers_hold_one_block(tmp_path, kind, steps):
+    # The table is the only array that grows with its rows; a writer adds
+    # one block of floats and text, the same bound at either length. A
+    # writer formatting the whole table at once peaks near 7x the table
+    # (about 30 MiB at 50,001 rows).
+    table = long_table(steps)
+    path = tmp_path / f"long.{kind}"
+    tracemalloc.start()
+    try:
+        if kind == "csv":
+            emit_csv(table, path)
+        else:
+            emit_svg(table, ["W", "S"], path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > steps * 20
+    assert peak < 2**20
+
+
+class SecondWriteFails:
+    """A text file whose second write fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.mark.parametrize("flags", [["--csv"], ["--svg", "W"]], ids=["csv", "svg"])
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, flags):
+    # Small blocks put the failing second write in the middle of the table.
+    monkeypatch.setattr(output, "_BLOCK_VALUES", 5)
+    real_open = open
+    monkeypatch.setattr(
+        output, "open", lambda *a, **k: SecondWriteFails(real_open(*a, **k)),
+        raising=False,
+    )
+    scenario = tmp_path / "case.json"
+    scenario.write_text(json.dumps(SWEEP_DOC), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: cannot write output: ")
+    assert len(err.splitlines()) == 1
+    assert os.listdir(out) == []
+    # A target that already exists keeps its old bytes.
+    target = out / ("case." + flags[0][2:])
+    target.write_text("old\n")
+    assert cli.main(["run", str(scenario), "--out", str(out)] + flags) == 2
+    assert os.listdir(out) == [target.name]
+    assert target.read_text() == "old\n"
+
+
+def test_bad_tables_raise_before_any_file_is_opened(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(output, "open", lambda *a, **k: opened.append(a), raising=False)
+    empty = ResultTable(columns=("t",), data=np.empty((0, 1)))
+    narrow = ResultTable(columns=("t", "W"), data=np.zeros((2, 3)))
+    for table in (empty, narrow):
+        with pytest.raises(InvalidInputError):
+            emit_csv(table, tmp_path / "bad.csv")
+    with pytest.raises(InvalidInputError):
+        emit_svg(small_table(), ["Q"], tmp_path / "bad.svg")
+    assert opened == []
+    assert os.listdir(tmp_path) == []
