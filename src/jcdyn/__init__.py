@@ -49,12 +49,7 @@ from .observables import (
     revival_time,
     von_neumann_entropy,
 )
-from .oracle import (
-    IntegratorConfig,
-    integrate_block,
-    oracle_evolve_mixed,
-    oracle_evolve_pure,
-)
+from .oracle import integrate_block, oracle_evolve_mixed, oracle_evolve_pure
 from .scenario import (
     AtomSpec,
     FieldSpec,
@@ -76,7 +71,6 @@ __all__ = [
     "ConstantCoupling",
     "CustomCoupling",
     "FieldSpec",
-    "IntegratorConfig",
     "InvalidInputError",
     "JointPureState",
     "LinearCoupling",

@@ -5,13 +5,14 @@ optional cross-check against the reference integrator; ``predict-revival``
 prints the closed-form revival estimate when one exists; ``compare`` runs
 both solution paths and reports their disagreement.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 oracle
-deviation beyond the acceptance threshold.
+Exit codes: 0 success, 2 invalid input or unwritable output, 3 numerical
+failure, 4 oracle deviation beyond the acceptance threshold.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -101,7 +102,6 @@ def _cmd_run(args):
 
     table = run(scenario)
 
-    wrote_file = False
     stem = Path(args.scenario).stem
     out_dir = Path(args.out)
     try:
@@ -111,16 +111,14 @@ def _cmd_run(args):
             target = out_dir / f"{stem}.csv"
             emit_csv(table, target)
             print(target)
-            wrote_file = True
         if args.svg:
             selection, parametric = _parse_selection(args.svg)
             target = out_dir / f"{stem}.svg"
             emit_svg(table, selection, target, parametric=parametric)
             print(target)
-            wrote_file = True
     except OSError as exc:
         raise InvalidInputError(f"cannot write output: {exc}") from exc
-    if not wrote_file:
+    if not (args.csv or args.svg):
         write_csv(table, sys.stdout)
 
     if table.max_oracle_deviation is not None:
@@ -172,12 +170,22 @@ def main(argv=None) -> int:
         "compare": _cmd_compare,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        # The handlers turn file errors into InvalidInputError, so this is
+        # stdout failing: a full disk, or a reader that closed the pipe.
+        print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
+        # What stdout still buffers goes to the null device, so that the
+        # interpreter's last flush raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INVALID
 
 

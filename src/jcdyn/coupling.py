@@ -231,7 +231,17 @@ PROFILES = (
 
 
 def _as_times(profile, t):
-    arr = np.asarray(t, dtype=float)
+    """Every time argument's one check, returning a float array of t's shape:
+    a real number, 0-d array or 1-D sequence (no strings, booleans or 2-D
+    arrays), finite, non-negative and inside the profile's span."""
+    try:
+        arr = np.asarray(t)
+        ok = arr.dtype.kind in "iuf" and arr.ndim <= 1
+    except ValueError:  # a ragged nest of sequences
+        ok = False
+    if not ok:
+        raise InvalidInputError("t must be a real number or a 1-D sequence of them")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("t must be finite")
     if np.any(arr < 0.0):
@@ -242,7 +252,7 @@ def _as_times(profile, t):
 
 
 def lambda_at(profile, t):
-    """Coupling rate lambda(t). Accepts a scalar or an array of times."""
+    """Coupling rate lambda(t). Accepts a scalar or a 1-D array of times."""
     arr = _as_times(profile, t)
     out = profile.rate(arr)
     return out if arr.ndim else float(out)
@@ -251,7 +261,7 @@ def lambda_at(profile, t):
 def coupling_area(profile, t):
     """Accumulated area A(t) = integral of lambda from 0 to t, closed form.
 
-    Accepts a scalar or an array of times. Parameters so large that the
+    Accepts a scalar or a 1-D array of times. Parameters so large that the
     area overflows raise InvalidInputError naming the first such time.
     """
     arr = _as_times(profile, t)

@@ -27,7 +27,6 @@ from .fields import PhotonDistribution
 
 _NORM_TOL = 1e-12
 _RHO_TOL = 1e-10
-_TIME_ERROR = "t must be a finite non-negative number"
 
 # Most (time, level) entries the reduced-atom kernel holds at once, about
 # 1 MB per complex temporary however wide the field; a field with more
@@ -205,21 +204,6 @@ class AtomDensityMatrix:
         return m
 
 
-def _check_times(t):
-    """One time as a float, or a batch of times as a 1-D float array."""
-    if np.ndim(t) == 1:
-        try:
-            times = np.asarray(t, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(_TIME_ERROR) from exc
-        if not np.all(np.isfinite(times) & (times >= 0.0)):
-            raise InvalidInputError(_TIME_ERROR)
-        return times
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-        raise InvalidInputError(_TIME_ERROR)
-    return float(t)
-
-
 def _initial_amplitudes(atom: AtomState, field: PhotonDistribution):
     """(e0, g0) amplitudes of the product state, one slot past the cutoff."""
     size = field.n_max + 2
@@ -345,13 +329,14 @@ def evolve_pure(
     """
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; evolve_mixed handles it")
-    t = _check_times(t)
+    area = coupling_area(profile, t)
     e0, g0 = _initial_amplitudes(atom, field)
-    single = np.ndim(t) == 0
-    if single and t == 0.0:
+    if np.ndim(area):
+        return JointPureState(*_rotate_blocks(e0, g0, area), t)
+    if float(t) == 0.0:
         return JointPureState(e0, g0, 0.0)
-    e, g = _rotate_blocks(e0, g0, np.atleast_1d(coupling_area(profile, t)))
-    return JointPureState(e[0], g[0], t) if single else JointPureState(e, g, t)
+    e, g = _rotate_blocks(e0, g0, np.atleast_1d(area))
+    return JointPureState(e[0], g[0], float(t))
 
 
 def evolve_mixed(
@@ -363,14 +348,13 @@ def evolve_mixed(
     memory however many times), keeping a pure field's phases. A 1-D array
     of times gives the batch form; a single time 0 returns ``atom`` itself.
     """
-    t = _check_times(t)
-    single = np.ndim(t) == 0
-    if single and t == 0.0:
+    area = coupling_area(profile, t)
+    if np.ndim(area):
+        return AtomDensityMatrix.conditioned(*_reduced_sums(atom, field, area))
+    if float(t) == 0.0:
         return atom
-    ee, gg, eg = _reduced_sums(atom, field, np.atleast_1d(coupling_area(profile, t)))
-    if single:
-        ee, gg, eg = ee[0], gg[0], eg[0]
-    return AtomDensityMatrix.conditioned(ee, gg, eg)
+    ee, gg, eg = _reduced_sums(atom, field, np.atleast_1d(area))
+    return AtomDensityMatrix.conditioned(ee[0], gg[0], eg[0])
 
 
 def excitation_expectation(state: JointPureState):

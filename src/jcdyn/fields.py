@@ -64,6 +64,10 @@ class PhotonDistribution:
                 raise InvalidInputError("amplitudes must match weights in length")
             if not np.all(np.isfinite(a)):
                 raise InvalidInputError("amplitudes must be finite")
+            # Rounding moves |C_n|^2 by a few ulps; anything more is a
+            # different state than the weights describe.
+            if np.any(np.abs(np.abs(a) ** 2 - w) > 1e-12 * w + 1e-300):
+                raise InvalidInputError("weights must equal |amplitudes|^2")
             object.__setattr__(self, "amplitudes", a)
         if not (math.isfinite(self.mean_n) and self.mean_n >= 0.0):
             raise InvalidInputError("mean_n must be finite and non-negative")

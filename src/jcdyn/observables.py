@@ -91,13 +91,14 @@ def population_inversion(rho: AtomDensityMatrix):
 def inversion_closed_form(field: PhotonDistribution, profile, t):
     """W(t) for an atom starting in |e>: sum_n P_n cos(2 A(t) sqrt(n+1)).
 
-    Accepts a scalar or an array of times. These are the raw sums of the
+    Accepts a scalar or a 1-D array of times. These are the raw sums of the
     reduced-state kernel, not conditioned on the retained field mass.
     """
-    area = np.atleast_1d(coupling_area(profile, t))
-    ee, gg, _ = _reduced_sums(AtomDensityMatrix(1.0, 0.0, 0.0), field, area)
+    area = coupling_area(profile, t)
+    rho = AtomDensityMatrix(1.0, 0.0, 0.0)
+    ee, gg, _ = _reduced_sums(rho, field, np.atleast_1d(area))
     w = ee - gg
-    return float(w[0]) if np.ndim(t) == 0 else w
+    return w if np.ndim(area) else float(w[0])
 
 
 def coherence_xi(state: JointPureState):

@@ -1,8 +1,9 @@
 """Brute-force trajectory validator.
 
 Integrates the bare-basis Schrodinger equation block by block with a
-general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` (or fixed-step
-RK4), sampling lambda(t) pointwise at every stage.
+general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` at fixed
+settings (or, in ``integrate_block``, fixed-step RK4), sampling lambda(t)
+pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
@@ -18,7 +19,6 @@ photon-diagonal one. So the solver tolerances act alike on every field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,53 +33,17 @@ from .dynamics import (
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
 
-ADAPTIVE = "adaptive"
-RK4 = "rk4"
-
 _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex samples (times x 2 x integrated rows) one solve may hold:
 # 2^24, 256 MiB, and a solve holds about one copy at its peak.
 MAX_ORACLE_SAMPLES = 2**24
 
-
-# The adaptive step cannot resolve a relative tolerance finer than 100 eps.
-REL_TOL_FLOOR = 100 * np.finfo(float).eps
-
-
-def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Settings for the reference integrator.
-
-    ``max_step`` caps the adaptive step; the fixed-step rk4 method uses it
-    as its step size outright, subdividing grid intervals evenly.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = 0.1
-    method: str = ADAPTIVE
-
-    def __post_init__(self):
-        if not (_is_real(self.rel_tol) and REL_TOL_FLOOR <= self.rel_tol <= 1e-3):
-            raise InvalidInputError(f"rel_tol must lie in [{REL_TOL_FLOOR:.3g}, 1e-3]")
-        if not (_is_real(self.abs_tol) and 0.0 < self.abs_tol <= 1e-3):
-            raise InvalidInputError("abs_tol must lie in (0, 1e-3]")
-        if not (
-            _is_real(self.max_step)
-            and math.isfinite(self.max_step)
-            and self.max_step > 0.0
-        ):
-            raise InvalidInputError("max_step must be finite and positive")
-        if self.method not in (ADAPTIVE, RK4):
-            raise InvalidInputError(f"method must be {ADAPTIVE!r} or {RK4!r}")
-
-
-DEFAULT_CONFIG = IntegratorConfig()
+# DOP853 settings of every reference solve. They are fixed: the oracle is
+# one reference for the closed form, not a solver to tune.
+_RTOL = 1e-10
+_ATOL = 1e-12
+_MAX_STEP = 0.1
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -105,12 +69,14 @@ def _check_grid(t_grid):
     return grid
 
 
-def _integrate_stack(blocks, y0, profile, grid, cfg):
+def _integrate_stack(blocks, y0, profile, grid, rk4_step=None):
     """Evolve stacked 2-level blocks; returns (T, B, 2) complex samples.
 
     Row i holds the (e, g) pair of block ``blocks[i]``, obeying
     i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
-    already checked by ``_check_grid``.
+    already checked by ``_check_grid``. DOP853 steps it, or with
+    ``rk4_step`` set, fixed-step RK4 subdividing each grid interval evenly
+    into steps of at most that size.
     """
     y0 = np.asarray(y0, dtype=complex).reshape(-1, 2)
     t_end = float(grid[-1])
@@ -131,16 +97,16 @@ def _integrate_stack(blocks, y0, profile, grid, cfg):
     def rhs(t, y):
         return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
 
-    if cfg.method == ADAPTIVE:
+    if rk4_step is None:
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
             y0.ravel(),
             method="DOP853",
             t_eval=grid,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
+            rtol=_RTOL,
+            atol=_ATOL,
+            max_step=_MAX_STEP,
         )
         if not sol.success:
             raise NumericalFailureError(f"reference integrator failed: {sol.message}")
@@ -150,7 +116,7 @@ def _integrate_stack(blocks, y0, profile, grid, cfg):
         y = out[0] = y0.ravel()
         for i in range(1, grid.size):
             t0, t1 = grid[i - 1], grid[i]
-            m = max(1, math.ceil((t1 - t0) / cfg.max_step))
+            m = max(1, math.ceil((t1 - t0) / rk4_step))
             h = (t1 - t0) / m
             for j in range(m):
                 t = t0 + j * h
@@ -167,20 +133,30 @@ def _integrate_stack(blocks, y0, profile, grid, cfg):
     return out
 
 
-def integrate_block(n, initial, profile, t_grid, config=DEFAULT_CONFIG):
-    """Trajectory of one (|e,n>, |g,n+1>) pair; returns a (T, 2) array."""
+def integrate_block(n, initial, profile, t_grid, rk4_step=None):
+    """Trajectory of one (|e,n>, |g,n+1>) pair; returns a (T, 2) array.
+
+    DOP853 integrates it, or fixed-step RK4 with steps of at most
+    ``rk4_step``.
+    """
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
         raise InvalidInputError("n must be a non-negative integer")
+    if rk4_step is not None and (
+        isinstance(rk4_step, bool)
+        or not isinstance(rk4_step, (int, float))
+        or not 0.0 < rk4_step < math.inf
+    ):
+        raise InvalidInputError("rk4_step must be a finite positive number")
     pair = np.asarray(initial, dtype=complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
     if not np.all(np.isfinite(pair.view(float))):
         raise InvalidInputError("initial amplitudes must be finite")
     grid = _check_grid(t_grid)
-    return _integrate_stack([n], pair[None, :], profile, grid, config)[:, 0, :]
+    return _integrate_stack([n], pair[None, :], profile, grid, rk4_step)[:, 0, :]
 
 
-def _integrate_rows(e0, g0, profile, grid, config):
+def _integrate_rows(e0, g0, profile, grid):
     """Evolve S joint pure states in one solver call; returns (s, n, samples).
 
     Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
@@ -196,17 +172,13 @@ def _integrate_rows(e0, g0, profile, grid, config):
             f"oracle needs {count} samples, over the budget of {MAX_ORACLE_SAMPLES}"
         )
     samples = _integrate_stack(
-        n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid, config
+        n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid
     )
     return s, n, samples
 
 
 def oracle_evolve_pure(
-    atom: AtomState,
-    field: PhotonDistribution,
-    profile,
-    t_grid,
-    config=DEFAULT_CONFIG,
+    atom: AtomState, field: PhotonDistribution, profile, t_grid
 ) -> JointPureState:
     """Numerically integrated counterpart of the closed-form pure evolution.
 
@@ -216,7 +188,7 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     grid = _check_grid(t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
-    _, n, samples = _integrate_rows(e0[None], g0[None], profile, grid, config)
+    _, n, samples = _integrate_rows(e0[None], g0[None], profile, grid)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     e[:, n] = samples[:, :, 0]
@@ -226,11 +198,7 @@ def oracle_evolve_pure(
 
 
 def oracle_evolve_mixed(
-    atom: AtomDensityMatrix,
-    field: PhotonDistribution,
-    profile,
-    t_grid,
-    config=DEFAULT_CONFIG,
+    atom: AtomDensityMatrix, field: PhotonDistribution, profile, t_grid
 ) -> AtomDensityMatrix:
     """Numerically integrated counterpart of ``evolve_mixed``, for any field.
 
@@ -260,7 +228,7 @@ def oracle_evolve_mixed(
     g0 = e0.copy()
     e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
     g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
-    s, n, samples = _integrate_rows(e0, g0, profile, grid, config)
+    s, n, samples = _integrate_rows(e0, g0, profile, grid)
     # rho_eg pairs row (s, n) of an |e> part, s % stride == 0, with row
     # (s + stride - 1, n - 1) of its |g> part, which holds g[n]; for n = 0 the
     # column index -1 finds no row and the dark g0[s + stride - 1, 0] stands in.

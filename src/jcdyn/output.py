@@ -24,6 +24,8 @@ from .errors import InvalidInputError
 # block and rises from 2^15 on, as the blocks approach the whole table.
 _BLOCK_VALUES = 2**13
 
+_WIDTH, _HEIGHT = 720, 480  # SVG chart size in pixels
+
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -165,9 +167,12 @@ def _series_from_table(table, selection, parametric):
     if table.sweep_parameter is None:
         groups = [(None, table.data)]
     else:
+        # Each sweep value's rows run from one change of the value to the
+        # next; slicing them copies nothing.
         sweep_col = table.data[:, names.index("sweep_value")]
-        values, first = np.unique(sweep_col, return_index=True)
-        groups = [(v, table.data[sweep_col == v]) for v in values[np.argsort(first)]]
+        changes = np.flatnonzero(sweep_col[1:] != sweep_col[:-1]) + 1
+        bounds = [0, *changes.tolist(), len(sweep_col)]
+        groups = [(sweep_col[a], table.data[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     series = []
     for value, rows in groups:
@@ -183,7 +188,7 @@ def _series_from_table(table, selection, parametric):
     return series
 
 
-def emit_svg(table, selection, path, *, parametric=False, width=720, height=480):
+def emit_svg(table, selection, path, *, parametric=False):
     """Write a polyline chart of the selected columns at ``path``.
 
     Series mode plots each column against t; parametric mode plots the
@@ -191,8 +196,8 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
     """
     series = _series_from_table(table, tuple(selection), parametric)
     margin_l, margin_r, margin_t, margin_b = 64, 16, 16, 44
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     # np.min/np.max of the per-series extremes give the same floats as over
     # the concatenated series (a NaN included) without copying them.
@@ -214,9 +219,9 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
         return margin_t + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     axis_style = 'stroke="#333" stroke-width="1"'
     text_style = 'font-family="sans-serif" font-size="11" fill="#333"'
@@ -246,7 +251,7 @@ def emit_svg(table, selection, path, *, parametric=False, width=720, height=480)
     )
     x_label = tuple(selection)[0] if parametric else "t"
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.2f}" y="{height - 8}" '
+        f'<text x="{margin_l + plot_w / 2:.2f}" y="{_HEIGHT - 8}" '
         f'text-anchor="middle" {text_style}>{html.escape(x_label)}</text>'
     )
 

@@ -81,6 +81,57 @@ def test_run_unwritable_output_exits_2(tmp_path, capsys, flags):
     assert "cannot write output: " in capsys.readouterr().err
 
 
+# Nine rows sit in stdout's buffer until main's flush; 4096 rows of (t, W)
+# make exactly one 2^13-value block, larger than a pipe's buffer; 2001 rows
+# of every output span several blocks.
+ONE_BLOCK = dict(BASIC, time={"t_end": 2.0, "steps": 4096})
+MULTI_BLOCK = dict(BASIC, atom="plus_x", time={"t_end": 20.0, "steps": 2001})
+del MULTI_BLOCK["outputs"]
+
+
+def start_cli(args, stdout):
+    """Start ``jcdyn`` with stdout block-buffered, as the interpreter's
+    default is. Under PYTHONUNBUFFERED, CPython's text stdout drops the
+    unwritten tail of a short write to a closed pipe without an error."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "jcdyn.cli"] + args,
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("doc", [BASIC, MULTI_BLOCK], ids=["flush", "multi-block"])
+def test_run_into_full_device_exits_2(tmp_path, doc):
+    path = write_scenario(tmp_path, doc)
+    with open("/dev/full", "w") as full:
+        proc = start_cli(["run", str(path)], full)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert err.splitlines() == [
+        "invalid input: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc", [ONE_BLOCK, MULTI_BLOCK], ids=["one-block", "multi-block"]
+)
+def test_run_into_closed_pipe_exits_2(tmp_path, doc):
+    # The reader takes 100 bytes and closes the pipe, as `head -c 100` does.
+    path = write_scenario(tmp_path, doc)
+    proc = start_cli(["run", str(path)], subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert err.splitlines() == [
+        "invalid input: cannot write output: [Errno 32] Broken pipe"
+    ]
+
+
 def test_run_oracle_flag_reports_deviation(tmp_path, capsys):
     path = write_scenario(tmp_path, BASIC)
     assert cli.main(["run", str(path), "--oracle"]) == 0

@@ -11,16 +11,19 @@ from jcdyn import (
     AtomDensityMatrix,
     AtomState,
     ConstantCoupling,
+    CustomCoupling,
     InvalidInputError,
     JointPureState,
     SechCoupling,
     SinusoidalCoupling,
+    coherent_amplitudes,
     coupling_area,
     custom_distribution,
     evolve_mixed,
     evolve_pure,
     excitation_expectation,
     inversion_closed_form,
+    lambda_at,
     parse_scenario,
     population_inversion,
     reduced_atom,
@@ -247,6 +250,58 @@ def test_evolve_validation():
             CONST,
             float("nan"),
         )
+
+
+TIME_TABLE = CustomCoupling(times=(0.0, 2.0, 4.0), values=(0.5, 1.5, 1.0))
+
+
+def time_entry_points(t):
+    """Every public function that takes a time, called at ``t``."""
+    return {
+        "lambda_at": lambda: lambda_at(TIME_TABLE, t),
+        "coupling_area": lambda: coupling_area(TIME_TABLE, t),
+        "evolve_pure": lambda: evolve_pure(
+            AtomState.excited(), coherent_amplitudes(1.0), TIME_TABLE, t
+        ),
+        "evolve_mixed": lambda: evolve_mixed(
+            AtomDensityMatrix(1.0, 0.0, 0.0), thermal_weights(1.0), TIME_TABLE, t
+        ),
+        "inversion_closed_form": lambda: inversion_closed_form(
+            thermal_weights(1.0), TIME_TABLE, t
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "t",
+    [math.nan, -1.0, np.ones((2, 2)), [[0.0], [1.0, 2.0]], "abc", "1.5", 5.0],
+    ids=["nan", "negative", "2-D", "ragged", "abc", "numeric-string", "past-table"],
+)
+def test_bad_time_raises_alike_everywhere(t):
+    # One check guards every entry point, so each refuses a bad time with
+    # the same exception and message.
+    raised = {}
+    for name, call in time_entry_points(t).items():
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        raised[name] = (type(info.value), str(info.value))
+    assert len(set(raised.values())) == 1, raised
+
+
+@pytest.mark.parametrize(
+    "t",
+    [0, 1.5, np.float64(1.5), np.array(1.5), [0.0, 1.5], np.array([0.0, 1.5])],
+    ids=["int-zero", "float", "float64", "0-d", "list", "1-D"],
+)
+def test_good_time_accepted_everywhere(t):
+    batch = np.ndim(t) == 1
+    for name, call in time_entry_points(t).items():
+        result = call()
+        if name == "evolve_pure":
+            result = result.time
+        elif name == "evolve_mixed":
+            result = result.rho_ee
+        assert np.shape(result) == ((2,) if batch else ()), name
 
 
 def test_atom_state_validation():

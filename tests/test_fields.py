@@ -141,6 +141,18 @@ def test_coherent_amplitudes_square_to_weights():
     assert d.is_pure
 
 
+def test_amplitudes_must_square_to_weights():
+    # Weights and amplitudes describing two different states would send
+    # evolve_mixed, which reads the weights, and evolve_pure, which reads
+    # only the amplitudes, apart.
+    with pytest.raises(InvalidInputError, match=r"must equal \|amplitudes\|\^2"):
+        PhotonDistribution("custom", [0.5, 0.5], [1.0, 0.0], 0.5, 1e-12)
+    # A few ulps of rounding between the two stay allowed.
+    a = coherent_amplitudes(1.3).amplitudes
+    w = np.abs(a) ** 2 * (1.0 + 8 * np.finfo(float).eps)
+    PhotonDistribution("coherent", w, a, 1.69, 1e-12)
+
+
 def test_coherent_vacuum():
     d = coherent_amplitudes(0.0)
     assert d.n_max == 0

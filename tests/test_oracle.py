@@ -12,7 +12,6 @@ from jcdyn import (
     AtomState,
     ConstantCoupling,
     CustomCoupling,
-    IntegratorConfig,
     InvalidInputError,
     LinearCoupling,
     Scenario,
@@ -30,7 +29,6 @@ from jcdyn import (
     run,
     thermal_weights,
 )
-from jcdyn.oracle import RK4
 
 CONST = ConstantCoupling(1.0)
 
@@ -60,21 +58,12 @@ def test_block_matches_closed_rotation_mid_grid():
         assert abs(traj[i, 1] - math.cos(theta)) < 1e-9
 
 
-def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(abs_tol=2e-3)
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(max_step=-0.1)
-    with pytest.raises(InvalidInputError):
-        IntegratorConfig(method="euler")
-    for name in ("rel_tol", "abs_tol", "max_step"):
-        with pytest.raises(InvalidInputError):
-            IntegratorConfig(**{name: True})
-    with pytest.raises(InvalidInputError, match=r"rel_tol must lie in \[2.22e-14, 1e-3\]"):
-        IntegratorConfig(rel_tol=2e-14)
-    assert IntegratorConfig(rel_tol=100 * np.finfo(float).eps).rel_tol == 2.220446049250313e-14
+def test_rk4_step_validation():
+    for bad in (0.0, -0.1, math.inf, math.nan, True, "0.1"):
+        with pytest.raises(InvalidInputError, match="rk4_step must be"):
+            integrate_block(0, (1.0, 0.0), CONST, [0.0, 1.0], rk4_step=bad)
+    traj = integrate_block(0, (1.0, 0.0), CONST, [0.0, 1.0], rk4_step=1)
+    assert traj.shape == (2, 2)
 
 
 def test_grid_validation():
@@ -98,8 +87,7 @@ def test_rk4_fourth_order_convergence():
     exact = np.array([math.cos(theta), -1j * math.sin(theta)])
 
     def error(h):
-        cfg = IntegratorConfig(method=RK4, max_step=h)
-        traj = integrate_block(0, (1.0, 0.0), prof, [0.0, t_end], cfg)
+        traj = integrate_block(0, (1.0, 0.0), prof, [0.0, t_end], rk4_step=h)
         return float(np.max(np.abs(traj[-1] - exact)))
 
     ratio = error(0.05) / error(0.025)
@@ -309,9 +297,8 @@ def test_mixed_oracle_holds_one_sample_copy(monkeypatch):
 def test_rk4_and_adaptive_agree():
     prof = SinusoidalCoupling(1.0, 0.9, p=2)
     grid = np.linspace(0.0, 4.0, 9)
-    fine = IntegratorConfig(method=RK4, max_step=0.002)
     a = integrate_block(1, (0.6, 0.8j), prof, grid)
-    b = integrate_block(1, (0.6, 0.8j), prof, grid, fine)
+    b = integrate_block(1, (0.6, 0.8j), prof, grid, rk4_step=0.002)
     assert float(np.max(np.abs(a - b))) < 1e-8
 
 
@@ -348,14 +335,13 @@ def test_unchecked_rate_keeps_trajectories_bit_identical(monkeypatch):
     mixed = thermal_weights(0.8)
     rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
     grid = np.linspace(0.0, 10.0, 21)
-    rk4 = IntegratorConfig(method=RK4, max_step=0.05)
 
     def trajectories():
         out = []
         for prof in profiles:
             states = oracle_evolve_pure(atom, pure, prof, grid)
             rhos = oracle_evolve_mixed(rho0, mixed, prof, grid)
-            block = integrate_block(2, (0.6, 0.8j), prof, grid[:5], rk4)
+            block = integrate_block(2, (0.6, 0.8j), prof, grid[:5], rk4_step=0.05)
             out += [states.amps_e, states.amps_g, rhos.rho_ee, rhos.rho_eg, block]
         return out
 

@@ -433,6 +433,27 @@ def test_writers_hold_one_block(tmp_path, kind, steps):
     assert peak < 2**20
 
 
+def test_sweep_svg_holds_one_block(tmp_path):
+    # Each sweep value's series are slices of the table, so the plot adds
+    # no copy of the table (11 MiB here) to the one-block bound above.
+    steps, values = 20_001, 8
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((values * steps, 9))
+    data[:, 0] = np.repeat(np.arange(1.0, values + 1.0), steps)
+    data[:, 1] = np.tile(np.linspace(0.0, 80.0, steps), values)
+    columns = ("sweep_value", "t", "W", "S", "Rx", "Ry", "Rz", "purity", "xi")
+    table = ResultTable(columns=columns, data=data, sweep_parameter="mean_n")
+    path = tmp_path / "sweep.svg"
+    tracemalloc.start()
+    try:
+        emit_svg(table, ["W", "S"], path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(svg_polylines(path)) == 2 * values
+    assert peak < 2**20
+
+
 class SecondWriteFails:
     """A text file whose second write fails as a full disk would."""
 
