@@ -19,9 +19,10 @@ from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFailureError
 from .observables import revival_time
+from .output import check_selection, emit_csv, emit_svg, write_csv
 # format_csv is not called here; it stays importable from this module,
 # where bench/run.py's tracer wraps it by name.
-from .output import emit_csv, emit_svg, format_csv, write_csv  # noqa: F401
+from .output import format_csv  # noqa: F401
 from .scenario import ORACLE_DEVIATION_LIMIT, parse_scenario, run
 
 EXIT_OK = 0
@@ -93,6 +94,8 @@ def _parse_selection(text):
 
 def _cmd_run(args):
     scenario = _load_scenario(args.scenario)
+    if args.svg:
+        selection, parametric = _parse_selection(args.svg)
     if args.oracle:
         scenario = replace(scenario, oracle_check=True)
     if args.tail_eps is not None:
@@ -101,6 +104,9 @@ def _cmd_run(args):
         scenario = replace(scenario, tail_epsilon=args.tail_eps)
 
     table = run(scenario)
+    if args.svg:
+        # Before the first write, so a bad column leaves no file behind.
+        check_selection(table.columns, selection, parametric)
 
     stem = Path(args.scenario).stem
     out_dir = Path(args.out)
@@ -112,7 +118,6 @@ def _cmd_run(args):
             emit_csv(table, target)
             print(target)
         if args.svg:
-            selection, parametric = _parse_selection(args.svg)
             target = out_dir / f"{stem}.svg"
             emit_svg(table, selection, target, parametric=parametric)
             print(target)

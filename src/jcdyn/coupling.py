@@ -10,33 +10,29 @@ closed forms.
 import bisect
 import heapq
 import math
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError
+from .errors import (
+    InvalidInputError,
+    NumericalFailureError,
+    OutOfRangeError,
+    as_numbers,
+)
 
 _PANEL_BUDGET = 2**20
 
 
 def check_parameter(field, value):
-    """Reject a value outside the bound the type of a profile field sets.
-
-    A ``float`` field takes a number > 0 and an ``int`` field an integer
-    >= 1, either no larger than the largest float, so that profile
-    arithmetic never meets an int it cannot convert; bools are refused.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        ok = False
-    elif field.type is int:
-        ok = isinstance(value, int) and 1 <= value <= sys.float_info.max
-    else:
-        ok = 0 < value <= sys.float_info.max
-    if not ok:
-        kind = "an integer >= 1" if field.type is int else "a positive number"
-        raise InvalidInputError(f"{field.name} must be {kind} within float range")
+    """A profile field's value as its type demands, or InvalidInputError:
+    a ``float`` field takes a real number > 0, an ``int`` field an integer
+    >= 1."""
+    value = as_numbers(value, field.name, kind=field.type)
+    if not value > 0:
+        raise InvalidInputError(f"{field.name} must be > 0")
+    return value
 
 
 def scalar_fields(profile):
@@ -60,7 +56,8 @@ class _Profile:
 
     def __post_init__(self):
         for name, field in scalar_fields(self).items():
-            check_parameter(field, getattr(self, name))
+            value = check_parameter(field, getattr(self, name))
+            object.__setattr__(self, name, value)
 
     def revival(self, mean_n):
         """Predicted revival instant for a field of mean photon number
@@ -165,20 +162,18 @@ class CustomCoupling(_Profile):
     values: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
-        if len(times) < 2 or len(times) != len(values):
+        times = as_numbers(self.times, "times", 1)
+        values = as_numbers(self.values, "values", 1)
+        if times.size < 2 or times.size != values.size:
             raise InvalidInputError(
                 "need at least two (time, value) points of equal count"
             )
-        if not all(math.isfinite(x) for x in times + values):
-            raise InvalidInputError("times and values must be finite")
         if times[0] != 0.0:
             raise InvalidInputError("times must start at 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(times) <= 0.0):
             raise InvalidInputError("times must increase strictly")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     @property
     def t_max(self):
@@ -232,18 +227,9 @@ PROFILES = (
 
 def _as_times(profile, t):
     """Every time argument's one check, returning a float array of t's shape:
-    a real number, 0-d array or 1-D sequence (no strings, booleans or 2-D
-    arrays), finite, non-negative and inside the profile's span."""
-    try:
-        arr = np.asarray(t)
-        ok = arr.dtype.kind in "iuf" and arr.ndim <= 1
-    except ValueError:  # a ragged nest of sequences
-        ok = False
-    if not ok:
-        raise InvalidInputError("t must be a real number or a 1-D sequence of them")
-    arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("t must be finite")
+    a real number or 1-D sequence (``as_numbers``), non-negative and inside
+    the profile's span."""
+    arr = np.asarray(as_numbers(t, "t", (0, 1)))
     if np.any(arr < 0.0):
         raise InvalidInputError("t must be non-negative")
     if np.any(arr > profile.t_max):
@@ -330,7 +316,7 @@ def coupling_area_numeric(profile, t, tol=1e-10):
     absolute target ``tol``. Exhausting the panel budget raises
     NumericalFailureError carrying the best estimate and its error bound.
     """
-    if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-3):
+    if not 0.0 < as_numbers(tol, "tol") <= 1e-3:
         raise InvalidInputError("tol must lie in (0, 1e-3]")
     arr = _as_times(profile, t)
     if arr.ndim:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import coupling_area
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_numbers
 from .fields import PhotonDistribution
 
 _NORM_TOL = 1e-12
@@ -33,6 +33,15 @@ _RHO_TOL = 1e-10
 # levels than half of it takes one time point per block. The oracle reduces
 # its (time, sample) rows in blocks of the same budget.
 _BLOCK_ELEMENTS = 2**16
+
+
+def _set_numbers(obj, names, ndim=0, kind=float):
+    """Check the named fields of a frozen dataclass with ``as_numbers``,
+    store what it returns and return that."""
+    values = tuple(as_numbers(getattr(obj, n), n, ndim, kind) for n in names)
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    return values
 
 
 def _first(values, bad):
@@ -51,16 +60,7 @@ class AtomState:
     c_g: complex
 
     def __post_init__(self):
-        try:
-            ce, cg = complex(self.c_e), complex(self.c_g)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("atom amplitudes must be numbers") from exc
-        object.__setattr__(self, "c_e", ce)
-        object.__setattr__(self, "c_g", cg)
-        if not all(
-            math.isfinite(v) for v in (ce.real, ce.imag, cg.real, cg.imag)
-        ):
-            raise InvalidInputError("atom amplitudes must be finite")
+        ce, cg = _set_numbers(self, ("c_e", "c_g"), kind=complex)
         norm = abs(ce) ** 2 + abs(cg) ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise InvalidInputError(f"atom state norm {norm!r} deviates from 1")
@@ -96,28 +96,14 @@ class JointPureState:
     time: float
 
     def __post_init__(self):
-        e = np.asarray(self.amps_e, dtype=complex)
-        g = np.asarray(self.amps_g, dtype=complex)
-        if np.ndim(self.time) == 1:
-            time = np.asarray(self.time, dtype=float)
-            if (
-                e.ndim != 2
-                or e.shape != g.shape
-                or e.shape[0] != time.size
-                or e.shape[1] == 0
-            ):
-                raise InvalidInputError(
-                    "amplitude arrays must hold one equal-length row per time"
-                )
-            object.__setattr__(self, "time", time)
-        elif e.ndim != 1 or e.shape != g.shape or e.size == 0:
-            raise InvalidInputError("amplitude arrays must be 1-D and equal length")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(g))):
-            raise InvalidInputError("amplitudes must be finite")
-        if not np.all(np.isfinite(self.time) & (np.asarray(self.time) >= 0.0)):
-            raise InvalidInputError("time must be finite and non-negative")
-        object.__setattr__(self, "amps_e", e)
-        object.__setattr__(self, "amps_g", g)
+        e, g = _set_numbers(self, ("amps_e", "amps_g"), (1, 2), complex)
+        (time,) = _set_numbers(self, ("time",), (0, 1))
+        if not e.shape == g.shape == np.shape(time) + e.shape[-1:] or not e.shape[-1]:
+            raise InvalidInputError(
+                "amplitude arrays must hold one equal-length row per time"
+            )
+        if np.any(np.asarray(time) < 0.0):
+            raise InvalidInputError("time must be non-negative")
 
     @property
     def n_levels(self) -> int:
@@ -145,26 +131,10 @@ class AtomDensityMatrix:
     rho_eg: complex
 
     def __post_init__(self):
-        batch = np.ndim(self.rho_ee) == 1
-        try:
-            if batch:
-                ee = np.asarray(self.rho_ee, dtype=float)
-                gg = np.asarray(self.rho_gg, dtype=float)
-                eg = np.asarray(self.rho_eg, dtype=complex)
-            else:
-                ee, gg = float(self.rho_ee), float(self.rho_gg)
-                eg = complex(self.rho_eg)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                "populations must be real, coherence complex"
-            ) from exc
-        if batch and not ee.shape == gg.shape == eg.shape:
+        ee, gg = _set_numbers(self, ("rho_ee", "rho_gg"), (0, 1))
+        (eg,) = _set_numbers(self, ("rho_eg",), (0, 1), complex)
+        if not np.shape(ee) == np.shape(gg) == np.shape(eg):
             raise InvalidInputError("density matrix columns must share one length")
-        object.__setattr__(self, "rho_ee", ee)
-        object.__setattr__(self, "rho_gg", gg)
-        object.__setattr__(self, "rho_eg", eg)
-        if not np.all(np.isfinite(ee) & np.isfinite(gg) & np.isfinite(eg)):
-            raise InvalidInputError("density matrix entries must be finite")
         if np.any((ee < -_RHO_TOL) | (gg < -_RHO_TOL)):
             raise InvalidInputError("populations must be non-negative")
         trace = ee + gg
@@ -333,10 +303,10 @@ def evolve_pure(
     e0, g0 = _initial_amplitudes(atom, field)
     if np.ndim(area):
         return JointPureState(*_rotate_blocks(e0, g0, area), t)
-    if float(t) == 0.0:
+    if t == 0:
         return JointPureState(e0, g0, 0.0)
     e, g = _rotate_blocks(e0, g0, np.atleast_1d(area))
-    return JointPureState(e[0], g[0], float(t))
+    return JointPureState(e[0], g[0], t)
 
 
 def evolve_mixed(
@@ -351,7 +321,7 @@ def evolve_mixed(
     area = coupling_area(profile, t)
     if np.ndim(area):
         return AtomDensityMatrix.conditioned(*_reduced_sums(atom, field, area))
-    if float(t) == 0.0:
+    if t == 0:
         return atom
     ee, gg, eg = _reduced_sums(atom, field, np.atleast_1d(area))
     return AtomDensityMatrix.conditioned(ee[0], gg[0], eg[0])

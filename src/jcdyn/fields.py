@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_numbers
 
 DEFAULT_TAIL_EPSILON = 1e-12
 
@@ -52,27 +52,19 @@ class PhotonDistribution:
     tail_epsilon: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidInputError("weights must be a non-empty 1-D array")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise InvalidInputError("weights must be finite and non-negative")
+        w = _checked(self.weights, "weights")
         object.__setattr__(self, "weights", w)
         if self.amplitudes is not None:
-            a = np.asarray(self.amplitudes, dtype=complex)
+            a = _checked(self.amplitudes, "amplitudes", 1, complex)
             if a.shape != w.shape:
                 raise InvalidInputError("amplitudes must match weights in length")
-            if not np.all(np.isfinite(a)):
-                raise InvalidInputError("amplitudes must be finite")
             # Rounding moves |C_n|^2 by a few ulps; anything more is a
             # different state than the weights describe.
             if np.any(np.abs(np.abs(a) ** 2 - w) > 1e-12 * w + 1e-300):
                 raise InvalidInputError("weights must equal |amplitudes|^2")
             object.__setattr__(self, "amplitudes", a)
-        if not (math.isfinite(self.mean_n) and self.mean_n >= 0.0):
-            raise InvalidInputError("mean_n must be finite and non-negative")
-        if not (0.0 < self.tail_epsilon < 1.0):
-            raise InvalidInputError("tail_epsilon must lie in (0, 1)")
+        object.__setattr__(self, "mean_n", _checked(self.mean_n, "mean_n", 0))
+        object.__setattr__(self, "tail_epsilon", _check_tail(self.tail_epsilon))
         total = _weight_total(w)
         # Slack of a few ulps on either side; the tail bound itself is part
         # of the construction contract, not re-derived here.
@@ -92,8 +84,21 @@ class PhotonDistribution:
 
 
 def _check_tail(tail_epsilon):
-    if not (isinstance(tail_epsilon, (int, float)) and 0.0 < tail_epsilon < 1.0):
+    tail_epsilon = as_numbers(tail_epsilon, "tail_epsilon")
+    if not 0.0 < tail_epsilon < 1.0:
         raise InvalidInputError("tail_epsilon must lie in (0, 1)")
+    return tail_epsilon
+
+
+def _checked(values, name, ndim=1, kind=float):
+    """``as_numbers`` of a number or a non-empty table, non-negative where
+    real."""
+    arr = as_numbers(values, name, ndim, kind)
+    if np.size(arr) == 0:
+        raise InvalidInputError(f"{name} must be a non-empty 1-D array")
+    if kind is float and np.any(arr < 0.0):
+        raise InvalidInputError(f"{name} must be non-negative")
+    return arr
 
 
 def _check_levels(levels, what):
@@ -128,10 +133,8 @@ def coherent_amplitudes(alpha, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistr
     mass to rounding. n_max is the smallest index whose cumulative mass
     exceeds 1 - ``tail_epsilon``, judged on the discarded upper tail.
     """
-    _check_tail(tail_epsilon)
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise InvalidInputError("alpha must be finite")
+    tail_epsilon = _check_tail(tail_epsilon)
+    alpha = as_numbers(alpha, "alpha", kind=complex)
     modulus = abs(alpha)
     a2 = modulus * modulus  # inf rather than OverflowError past 1e154
     if a2 == 0.0:
@@ -177,12 +180,8 @@ def thermal_weights(mean_n, tail_epsilon=DEFAULT_TAIL_EPSILON) -> PhotonDistribu
     tail past n_max equals q^(n_max + 1), so the cutoff comes from a
     logarithm rather than a summation loop.
     """
-    _check_tail(tail_epsilon)
-    if not (isinstance(mean_n, (int, float)) and math.isfinite(mean_n)):
-        raise InvalidInputError("mean_n must be a finite number")
-    if mean_n < 0.0:
-        raise InvalidInputError("mean_n must be non-negative")
-    mean_n = float(mean_n)
+    tail_epsilon = _check_tail(tail_epsilon)
+    mean_n = _checked(mean_n, "mean_n", 0)
     if mean_n == 0.0:
         return PhotonDistribution(
             kind="thermal",
@@ -223,15 +222,11 @@ def custom_distribution(
     given. The table must already be normalized to within 1e-9; it is then
     rescaled to unit total so downstream invariants hold exactly.
     """
-    _check_tail(tail_epsilon)
+    tail_epsilon = _check_tail(tail_epsilon)
     if (weights is None) == (amplitudes is None):
         raise InvalidInputError("give exactly one of weights or amplitudes")
     if amplitudes is not None:
-        a = np.asarray(amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size == 0:
-            raise InvalidInputError("amplitudes must be a non-empty 1-D array")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("amplitudes must be finite")
+        a = _checked(amplitudes, "amplitudes", 1, complex)
         total = math.fsum(np.abs(a) ** 2)
         if abs(total - 1.0) >= 1e-9:
             raise InvalidInputError(
@@ -239,28 +234,16 @@ def custom_distribution(
             )
         a = a / math.sqrt(total)
         w = np.abs(a) ** 2
-        mean = float(np.arange(a.size) @ w)
-        return PhotonDistribution(
-            kind="custom",
-            weights=w,
-            amplitudes=a,
-            mean_n=mean,
-            tail_epsilon=tail_epsilon,
-        )
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidInputError("weights must be a non-empty 1-D array")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise InvalidInputError("weights must be finite and non-negative")
-    total = math.fsum(w)
-    if abs(total - 1.0) >= 1e-9:
-        raise InvalidInputError(f"weight sum {total!r} deviates from 1 by 1e-9 or more")
-    w = w / total
-    mean = float(np.arange(w.size) @ w)
+    else:
+        a, w = None, _checked(weights, "weights")
+        total = math.fsum(w)
+        if abs(total - 1.0) >= 1e-9:
+            raise InvalidInputError(f"weight sum {total!r} deviates from 1 by 1e-9 or more")
+        w = w / total
     return PhotonDistribution(
         kind="custom",
         weights=w,
-        amplitudes=None,
-        mean_n=mean,
+        amplitudes=a,
+        mean_n=float(np.arange(w.size) @ w),
         tail_epsilon=tail_epsilon,
     )

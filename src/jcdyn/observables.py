@@ -19,18 +19,12 @@ from .dynamics import (
     JointPureState,
     _first,
     _reduced_sums,
+    _set_numbers,
 )
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import PhotonDistribution
 
 _CLAMP_TOL = 1e-10
-
-
-def _as_floats(*values):
-    """Float columns for a batch, Python floats for a single state."""
-    if np.ndim(values[0]) == 1:
-        return tuple(np.asarray(v, dtype=float) for v in values)
-    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -44,11 +38,7 @@ class SchmidtData:
     mu_minus: float
 
     def __post_init__(self):
-        mp_, mm = _as_floats(self.mu_plus, self.mu_minus)
-        object.__setattr__(self, "mu_plus", mp_)
-        object.__setattr__(self, "mu_minus", mm)
-        if not np.all(np.isfinite(mp_) & np.isfinite(mm)):
-            raise InvalidInputError("eigenvalues must be finite")
+        mp_, mm = _set_numbers(self, ("mu_plus", "mu_minus"), (0, 1))
         if not np.all((0.0 <= mm) & (mm <= mp_) & (mp_ <= 1.0)):
             raise InvalidInputError("eigenvalues must satisfy 0 <= mu- <= mu+ <= 1")
         if np.any(np.abs(mp_ + mm - 1.0) > _CLAMP_TOL):
@@ -68,14 +58,7 @@ class BlochVector:
     r: float
 
     def __post_init__(self):
-        vals = _as_floats(self.r_x, self.r_y, self.r_z, self.r)
-        for name, v in zip(("r_x", "r_y", "r_z", "r"), vals):
-            object.__setattr__(self, name, v)
-        r_x, r_y, r_z, r = vals
-        if not np.all(
-            np.isfinite(r_x) & np.isfinite(r_y) & np.isfinite(r_z) & np.isfinite(r)
-        ):
-            raise InvalidInputError("Bloch components must be finite")
+        r_x, r_y, r_z, r = _set_numbers(self, ("r_x", "r_y", "r_z", "r"), (0, 1))
         modulus = np.sqrt(r_x**2 + r_y**2 + r_z**2)
         if np.any(np.abs(modulus - r) > 1e-12):
             raise InvalidInputError("modulus inconsistent with components")

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .coupling import lambda_at
+from .coupling import _as_times, lambda_at
 from .dynamics import (
     AtomDensityMatrix,
     AtomState,
@@ -30,7 +30,7 @@ from .dynamics import (
     _BLOCK_ELEMENTS,
     _initial_amplitudes,
 )
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, as_numbers
 from .fields import PhotonDistribution
 
 _EIGENWEIGHT_FLOOR = 1e-15
@@ -56,15 +56,15 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _check_grid(t_grid):
-    grid = np.asarray(t_grid, dtype=float)
+def _check_grid(profile, t_grid):
+    """A grid is checked as a time is (``_as_times``), and must be a
+    non-empty 1-D array that starts at 0 and rises strictly."""
+    grid = _as_times(profile, t_grid)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("t_grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidInputError("t_grid must be finite")
     if grid[0] != 0.0:
         raise InvalidInputError("t_grid must start at 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+    if not np.all(np.diff(grid) > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
     return grid
 
@@ -139,20 +139,17 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     DOP853 integrates it, or fixed-step RK4 with steps of at most
     ``rk4_step``.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
+    n = as_numbers(n, "n", kind=int)
+    if n < 0:
         raise InvalidInputError("n must be a non-negative integer")
-    if rk4_step is not None and (
-        isinstance(rk4_step, bool)
-        or not isinstance(rk4_step, (int, float))
-        or not 0.0 < rk4_step < math.inf
-    ):
-        raise InvalidInputError("rk4_step must be a finite positive number")
-    pair = np.asarray(initial, dtype=complex)
+    if rk4_step is not None:
+        rk4_step = as_numbers(rk4_step, "rk4_step")
+        if not rk4_step > 0.0:
+            raise InvalidInputError("rk4_step must be a finite positive number")
+    pair = as_numbers(initial, "initial", 1, complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
-    if not np.all(np.isfinite(pair.view(float))):
-        raise InvalidInputError("initial amplitudes must be finite")
-    grid = _check_grid(t_grid)
+    grid = _check_grid(profile, t_grid)
     return _integrate_stack([n], pair[None, :], profile, grid, rk4_step)[:, 0, :]
 
 
@@ -186,7 +183,7 @@ def oracle_evolve_pure(
     """
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
-    grid = _check_grid(t_grid)
+    grid = _check_grid(profile, t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
     _, n, samples = _integrate_rows(e0[None], g0[None], profile, grid)
     e = np.zeros((grid.size, e0.size), dtype=complex)
@@ -214,7 +211,7 @@ def oracle_evolve_mixed(
     time blocks, without building the joint states. Returns the batch form
     of AtomDensityMatrix, one row per grid time.
     """
-    grid = _check_grid(t_grid)
+    grid = _check_grid(profile, t_grid)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
     if vals[0] < -1e-10:
         raise InvalidInputError("atom state has a negative eigenvalue")

@@ -85,8 +85,23 @@ def format_csv(table) -> str:
 
 
 def write_csv(table, stream) -> None:
-    """Write the table's CSV text to an open text ``stream``, block by block."""
-    stream.writelines(_csv_pieces(table))
+    """Write the table's CSV text to an open text ``stream``, block by block.
+
+    A stream with a binary ``buffer`` (stdout) gets each block's bytes
+    there until all of them are taken: an unbuffered one takes part of a
+    block when a pipe's reader leaves, which its text layer would let pass
+    in silence, and the next write raises.
+    """
+    pieces = _csv_pieces(table)
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        stream.writelines(pieces)
+        return
+    stream.flush()
+    for piece in pieces:
+        data = memoryview(piece.encode(stream.encoding))
+        while data:
+            data = data[binary.write(data) :]
 
 
 def _write_replacing(path, pieces):
@@ -147,15 +162,10 @@ def _nice_ticks(lo, hi, target=5):
     return list(dict.fromkeys(ticks))
 
 
-def _series_from_table(table, selection, parametric):
-    """(label, x, y) triples for the requested columns.
-
-    Sweep tables contribute one series per sweep value so curves do not run
-    together across segments.
-    """
-    names = list(table.columns)
+def check_selection(columns, selection, parametric):
+    """Refuse a plot selection that the table's ``columns`` cannot draw."""
     for col in selection:
-        if col not in names:
+        if col not in columns:
             raise InvalidInputError(f"unknown column {col!r}")
         if col in ("t", "sweep_value"):
             raise InvalidInputError(f"{col!r} is an axis, not a series")
@@ -163,6 +173,16 @@ def _series_from_table(table, selection, parametric):
         raise InvalidInputError("parametric plots need exactly two columns")
     if not selection:
         raise InvalidInputError("nothing selected to plot")
+
+
+def _series_from_table(table, selection, parametric):
+    """(label, x, y) triples for the requested columns.
+
+    Sweep tables contribute one series per sweep value so curves do not run
+    together across segments.
+    """
+    names = list(table.columns)
+    check_selection(names, selection, parametric)
 
     if table.sweep_parameter is None:
         groups = [(None, table.data)]

@@ -263,10 +263,9 @@ def _parameter(field, value, path):
             _err(path, "expected a list")
         return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
     try:
-        check_parameter(field, value)
+        return check_parameter(field, value)
     except InvalidInputError as exc:
         _err(path, str(exc))
-    return field.type(value)
 
 
 def _parse_coupling(node, path):

@@ -89,13 +89,16 @@ MULTI_BLOCK = dict(BASIC, atom="plus_x", time={"t_end": 20.0, "steps": 2001})
 del MULTI_BLOCK["outputs"]
 
 
-def start_cli(args, stdout):
+def start_cli(args, stdout, unbuffered):
     """Start ``jcdyn`` with stdout block-buffered, as the interpreter's
-    default is. Under PYTHONUNBUFFERED, CPython's text stdout drops the
-    unwritten tail of a short write to a closed pipe without an error."""
+    default is, or with PYTHONUNBUFFERED=1, under which CPython's text
+    stdout would drop the unwritten tail of a short write to a closed pipe
+    without an error."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "jcdyn.cli"] + args,
@@ -104,11 +107,15 @@ def start_cli(args, stdout):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("doc", [BASIC, MULTI_BLOCK], ids=["flush", "multi-block"])
-def test_run_into_full_device_exits_2(tmp_path, doc):
+@pytest.mark.parametrize(
+    "doc, unbuffered",
+    [(BASIC, False), (MULTI_BLOCK, False), (BASIC, True), (MULTI_BLOCK, True)],
+    ids=["flush", "multi-block", "flush-unbuffered", "multi-block-unbuffered"],
+)
+def test_run_into_full_device_exits_2(tmp_path, doc, unbuffered):
     path = write_scenario(tmp_path, doc)
     with open("/dev/full", "w") as full:
-        proc = start_cli(["run", str(path)], full)
+        proc = start_cli(["run", str(path)], full, unbuffered)
         err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode == 2
     assert err.splitlines() == [
@@ -117,12 +124,14 @@ def test_run_into_full_device_exits_2(tmp_path, doc):
 
 
 @pytest.mark.parametrize(
-    "doc", [ONE_BLOCK, MULTI_BLOCK], ids=["one-block", "multi-block"]
+    "doc, unbuffered",
+    [(ONE_BLOCK, False), (MULTI_BLOCK, False), (ONE_BLOCK, True), (MULTI_BLOCK, True)],
+    ids=["one-block", "multi-block", "one-block-unbuffered", "multi-block-unbuffered"],
 )
-def test_run_into_closed_pipe_exits_2(tmp_path, doc):
+def test_run_into_closed_pipe_exits_2(tmp_path, doc, unbuffered):
     # The reader takes 100 bytes and closes the pipe, as `head -c 100` does.
     path = write_scenario(tmp_path, doc)
-    proc = start_cli(["run", str(path)], subprocess.PIPE)
+    proc = start_cli(["run", str(path)], subprocess.PIPE, unbuffered)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.communicate(timeout=60)[1].decode()
@@ -130,6 +139,18 @@ def test_run_into_closed_pipe_exits_2(tmp_path, doc):
     assert err.splitlines() == [
         "invalid input: cannot write output: [Errno 32] Broken pipe"
     ]
+
+
+def test_run_unknown_svg_column_writes_nothing(tmp_path, capsys):
+    # The selection is checked against the table before the CSV is written.
+    path = write_scenario(tmp_path, BASIC)
+    out_dir = tmp_path / "results"
+    code = cli.main(["run", str(path), "--csv", "--svg", "nope", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["invalid input: unknown column 'nope'"]
+    assert captured.out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_run_oracle_flag_reports_deviation(tmp_path, capsys):

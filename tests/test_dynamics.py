@@ -24,6 +24,7 @@ from jcdyn import (
     excitation_expectation,
     inversion_closed_form,
     lambda_at,
+    oracle_evolve_mixed,
     parse_scenario,
     population_inversion,
     reduced_atom,
@@ -279,9 +280,13 @@ def time_entry_points(t):
 )
 def test_bad_time_raises_alike_everywhere(t):
     # One check guards every entry point, so each refuses a bad time with
-    # the same exception and message.
+    # the same exception and message; an oracle grid is checked as a time.
+    calls = time_entry_points(t)
+    calls["oracle t_grid"] = lambda: oracle_evolve_mixed(
+        AtomDensityMatrix(1.0, 0.0, 0.0), thermal_weights(1.0), TIME_TABLE, t
+    )
     raised = {}
-    for name, call in time_entry_points(t).items():
+    for name, call in calls.items():
         with pytest.raises(InvalidInputError) as info:
             call()
         raised[name] = (type(info.value), str(info.value))
