@@ -12,6 +12,8 @@ failure, 4 oracle deviation beyond the acceptance threshold.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -110,18 +112,32 @@ def _cmd_run(args):
 
     stem = Path(args.scenario).stem
     out_dir = Path(args.out)
+    # Each file is written under its .tmp name and moved into place only
+    # once all are written, so a failed run leaves no new file behind.
+    targets = []
     try:
         if args.csv or args.svg:
             out_dir.mkdir(parents=True, exist_ok=True)
         if args.csv:
-            target = out_dir / f"{stem}.csv"
-            emit_csv(table, target)
-            print(target)
+            targets.append(out_dir / f"{stem}.csv")
+            emit_csv(table, f"{targets[-1]}.tmp")
         if args.svg:
-            target = out_dir / f"{stem}.svg"
-            emit_svg(table, selection, target, parametric=parametric)
+            targets.append(out_dir / f"{stem}.svg")
+            emit_svg(table, selection, f"{targets[-1]}.tmp", parametric=parametric)
+        for target in targets:
+            # A directory in a target's place would fail only its own move,
+            # after the others had been made.
+            if target.is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(target)
+                )
+        for target in targets:
+            os.replace(f"{target}.tmp", target)
             print(target)
     except OSError as exc:
+        for target in targets:
+            with contextlib.suppress(OSError):
+                os.remove(f"{target}.tmp")
         raise InvalidInputError(f"cannot write output: {exc}") from exc
     if not (args.csv or args.svg):
         write_csv(table, sys.stdout)

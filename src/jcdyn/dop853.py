@@ -7,7 +7,8 @@ The 12-stage method of order 8 carries embedded error estimates of orders
 at ``t_eval`` repeat scipy's ``solve_ivp(method="DOP853", t_eval=...)``
 operation for operation, so the samples and the count of right-hand-side
 evaluations equal scipy's bit for bit; the tests hold scipy as the
-reference.
+reference. Unlike scipy's, the samples can go to a caller's ``sink`` as the
+steps produce them, so a caller that reduces them never holds them all.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ REACHED_END = "The solver successfully reached the end of the integration interv
 
 class Solution(NamedTuple):
     """``y[:, k]`` is the state at ``t_eval[k]``; on failure only the points
-    reached are filled in. ``nfev`` counts right-hand-side evaluations."""
+    reached are filled in, and with a ``sink`` ``y`` is None. ``nfev``
+    counts right-hand-side evaluations."""
 
-    y: np.ndarray
+    y: np.ndarray | None
     nfev: int
     success: bool
     message: str
@@ -169,9 +171,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol):
     return min(100 * h0, h1, interval, max_step)
 
 
-def _dense_output(fun, K, a, d, t_old, h, y_old, y, f, x, out):
-    """Write the order-7 interpolant at step fractions ``x`` into ``out``;
-    ``a`` and ``d`` are ``A`` and ``D`` in the state's dtype."""
+def _interpolant(fun, K, a, d, t_old, h, y_old, y, f):
+    """The 7 coefficient vectors of the step's order-7 interpolant, after
+    the 3 stages that only it needs; ``a`` and ``d`` are ``A`` and ``D`` in
+    the state's dtype."""
     for s in range(N_STAGES + 1, C.size):
         K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, a[s, :s]) * h)
     delta = y - y_old
@@ -181,6 +184,12 @@ def _dense_output(fun, K, a, d, t_old, h, y_old, y, f, x, out):
     F[2] = 2 * delta - h * (f + K[0])
     np.dot(d, K, out=F[3:])
     F[3:] *= h
+    return F
+
+
+def _evaluate(F, y_old, x, out):
+    """Write the interpolant ``F`` at step fractions ``x`` into ``out``. Each
+    row is computed on its own, so any split of ``x`` gives the same bits."""
     out.fill(0)  # summed onto +0 as scipy does, which turns a -0 term into +0
     x_rest = 1 - x
     for k, term in enumerate(F[::-1]):
@@ -190,13 +199,21 @@ def _dense_output(fun, K, a, d, t_old, h, y_old, y, f, x, out):
 
 
 def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
-              max_step=np.inf):
+              max_step=np.inf, sink=None):
     """Integrate y' = fun(t, y) forward over ``t_span`` and sample it at the
     sorted points ``t_eval``; scipy's call shape, DOP853 only.
 
     A step takes 12 evaluations of ``fun``; the 3 more stages of the dense
     output are paid only on steps that cover a point of ``t_eval``. The step
     fails once it would be under 10 ulp of t.
+
+    The samples are written where ``sink(start, stop)`` says: it returns an
+    array of 1 to ``stop - start`` rows of y0's size, and the solver fills
+    row i with the state at ``t_eval[start + i]`` before it calls ``sink``
+    again or returns. Calls run through ``t_eval`` in order, each starting
+    where the last one's rows ended. By default the sink is a
+    (len(t_eval), y0.size) array that the solution returns as ``y``; a
+    caller's sink keeps the samples itself, and ``y`` is None.
     """
     t, t_bound = map(float, t_span)
     t_eval = np.asarray(t_eval, dtype=float)
@@ -222,8 +239,18 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
     f = counted(t, y)
     h_abs = _initial_step(counted, t, y, f, t_bound, max_step, rtol, atol)
     K = np.empty((C.size, y.size), dtype=dtype)
-    out = np.empty((t_eval.size, y.size), dtype=dtype)
+    collect = sink is None
+    if collect:
+        out = np.empty((t_eval.size, y.size), dtype=dtype)
+
+        def sink(start, stop):
+            return out[start:stop]
+
     done = 0  # points of t_eval filled in
+
+    def samples():
+        return out[:done].T if collect else None
+
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs > max_step:
@@ -233,7 +260,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(out[:done].T, nfev, False, TOO_SMALL_STEP)
+                return Solution(samples(), nfev, False, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -258,8 +285,11 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, t_eval, rtol=1e-3, atol=1e-6,
             rejected = True
         stop = np.searchsorted(t_eval, t_new, side="right")
         if stop > done:
-            x = ((t_eval[done:stop] - t) / h)[:, None]
-            _dense_output(counted, K, a, d, t, h, y, y_new, f_new, x, out[done:stop])
-            done = stop
+            F = _interpolant(counted, K, a, d, t, h, y, y_new, f_new)
+            while done < stop:
+                rows = sink(done, stop)
+                x = ((t_eval[done : done + len(rows)] - t) / h)[:, None]
+                _evaluate(F, y, x, rows)
+                done += len(rows)
         t, y, f = t_new, y_new, f_new
-    return Solution(out.T, nfev, True, REACHED_END)
+    return Solution(samples(), nfev, True, REACHED_END)

@@ -8,7 +8,9 @@ The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
 once per trajectory. ``oracle_evolve_mixed`` takes any atom on any field,
-as ``evolve_mixed`` does, and returns the reduced atom;
+as ``evolve_mixed`` does, and returns the reduced atom, summed in time
+blocks as the solver hands the samples over, so that it holds the solver's
+working set and one time block, whatever the number of grid times.
 ``oracle_evolve_pure`` returns the joint state of a pure atom on a pure
 field. Both evolve joint pure states through one helper, and every block
 starts at its physical amplitude, for atom eigen-member k of weight w_k:
@@ -35,9 +37,12 @@ from .fields import PhotonDistribution
 
 _EIGENWEIGHT_FLOOR = 1e-15
 
-# Most complex samples (times x 2 x integrated rows) one solve may hold:
-# 2^24, 256 MiB, and a solve holds about one copy at its peak.
+# Most complex values one solve's stage vectors may hold: DOP853 keeps
+# _STAGES vectors of 2 values per integrated row, 256 MiB at 2^24 values.
+# The samples do not count: the mixed oracle reduces them in time blocks,
+# and the pure oracle's are its return value.
 MAX_ORACLE_SAMPLES = 2**24
+_STAGES = 16  # jcdyn.dop853.C.size, written out so the budget loads no solver
 
 # DOP853 settings of every reference solve. They are fixed: the oracle is
 # one reference for the closed form, not a solver to tune.
@@ -69,19 +74,57 @@ def _check_grid(profile, t_grid):
     return grid
 
 
-def _integrate_stack(blocks, y0, profile, grid, rk4_step=None):
+def _integrate_stack(blocks, y0, profile, grid, rk4_step=None, reduce=None):
     """Evolve stacked 2-level blocks; returns (T, B, 2) complex samples.
 
     Row i holds the (e, g) pair of block ``blocks[i]``, obeying
     i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
     already checked by ``_check_grid``. DOP853 steps it, or with
     ``rk4_step`` set, fixed-step RK4 subdividing each grid interval evenly
-    into steps of at most that size.
+    into steps of at most that size. With ``reduce`` set nothing is
+    returned: each run of grid times start..stop-1 that fills a block of
+    _BLOCK_ELEMENTS entries (one time at least), and the rest at the end,
+    goes to ``reduce(start, samples)`` as soon as it is complete, and the
+    block's buffer is then reused. Samples are checked finite block by
+    block, before ``reduce`` sees them.
     """
-    y0 = np.asarray(y0, dtype=complex).reshape(-1, 2)
+    y0 = np.asarray(y0, dtype=complex).reshape(-1)
+    size = grid.size
+    if reduce is not None:
+        size = min(size, max(1, _BLOCK_ELEMENTS // max(1, y0.size)))
+    buf = np.empty((size, y0.size), dtype=complex)
+    first = 0  # grid index of buf[0]
+
+    def flush(stop):
+        block = buf[: stop - first].reshape(stop - first, -1, 2)
+        # A NaN or inf anywhere makes the sum non-finite, with no mask allocated.
+        if not math.isfinite(np.sum(block.view(float))):
+            raise NumericalFailureError("reference integrator produced non-finite values")
+        if reduce is not None:
+            reduce(first, block)
+
+    def sink(start, stop):
+        nonlocal first
+        if start == first + size:
+            flush(start)
+            first = start
+        return buf[start - first : min(stop, first + size) - first]
+
     t_end = float(grid[-1])
-    if y0.shape[0] == 0 or t_end == 0.0:
-        return np.broadcast_to(y0, (grid.size,) + y0.shape).copy()
+    if y0.size == 0 or t_end == 0.0:
+        for start in range(0, grid.size, size):
+            sink(start, grid.size)[:] = y0
+    else:
+        _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink)
+    flush(grid.size)
+    if reduce is None:
+        return buf.reshape(grid.size, -1, 2)
+
+
+def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
+    """Step ``_integrate_stack``'s blocks over a grid that ends after 0,
+    writing the samples through ``sink`` as ``dop853.solve_ivp`` does."""
+    t_end = float(grid[-1])
     coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
     # Validate the profile on the whole span once; each stage then calls
     # profile.rate unchecked.
@@ -101,36 +144,30 @@ def _integrate_stack(blocks, y0, profile, grid, rk4_step=None):
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
-            y0.ravel(),
+            y0,
             method="DOP853",
             t_eval=grid,
             rtol=_RTOL,
             atol=_ATOL,
             max_step=_MAX_STEP,
+            sink=sink,
         )
         if not sol.success:
             raise NumericalFailureError(f"reference integrator failed: {sol.message}")
-        out = sol.y.T
-    else:
-        out = np.empty((grid.size, y0.size), dtype=complex)
-        y = out[0] = y0.ravel()
-        for i in range(1, grid.size):
-            t0, t1 = grid[i - 1], grid[i]
-            m = max(1, math.ceil((t1 - t0) / rk4_step))
-            h = (t1 - t0) / m
-            for j in range(m):
-                t = t0 + j * h
-                k1 = rhs(t, y)
-                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i] = y
-    out = np.ascontiguousarray(out).reshape(grid.size, -1, 2)
-    # A NaN or inf anywhere makes the sum non-finite, with no mask allocated.
-    if not math.isfinite(np.sum(out.view(float))):
-        raise NumericalFailureError("reference integrator produced non-finite values")
-    return out
+        return
+    y = sink(0, 1)[0] = y0
+    for i in range(1, grid.size):
+        t0, t1 = grid[i - 1], grid[i]
+        m = max(1, math.ceil((t1 - t0) / rk4_step))
+        h = (t1 - t0) / m
+        for j in range(m):
+            t = t0 + j * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sink(i, i + 1)[0] = y
 
 
 def integrate_block(n, initial, profile, t_grid, rk4_step=None):
@@ -150,28 +187,27 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
     grid = _check_grid(profile, t_grid)
-    return _integrate_stack([n], pair[None, :], profile, grid, rk4_step)[:, 0, :]
+    return _integrate_stack([n], pair, profile, grid, rk4_step)[:, 0, :]
 
 
-def _integrate_rows(e0, g0, profile, grid):
-    """Evolve S joint pure states in one solver call; returns (s, n, samples).
+def _nonzero_blocks(e0, g0):
+    """The blocks (s[r], n[r]) of S joint pure states that start nonzero.
 
     Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
     ``_initial_amplitudes`` lays it out: block n pairs e0[s, n] with
     g0[s, n+1], and the dark amplitude g0[s, 0] stays put. A block that
-    starts at zero stays zero, so only the blocks (s[r], n[r]) that start
-    nonzero are integrated; samples[:, r] is their (e_s[n], g_s[n+1]).
+    starts at zero stays zero, so only these blocks are integrated, as the
+    rows of one solve; one whose stages would pass MAX_ORACLE_SAMPLES is
+    refused.
     """
     s, n = np.nonzero((e0[:, :-1] != 0) | (g0[:, 1:] != 0))
-    count = grid.size * 2 * s.size
+    count = _STAGES * 2 * s.size
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
-            f"oracle needs {count} samples, over the budget of {MAX_ORACLE_SAMPLES}"
+            f"oracle needs {count} complex stage values, over the budget of "
+            f"{MAX_ORACLE_SAMPLES}"
         )
-    samples = _integrate_stack(
-        n, np.stack([e0[s, n], g0[s, n + 1]], axis=1), profile, grid
-    )
-    return s, n, samples
+    return s, n
 
 
 def oracle_evolve_pure(
@@ -185,7 +221,8 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     grid = _check_grid(profile, t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
-    _, n, samples = _integrate_rows(e0[None], g0[None], profile, grid)
+    _, n = _nonzero_blocks(e0[None], g0[None])
+    samples = _integrate_stack(n, np.stack([e0[n], g0[n + 1]], axis=1), profile, grid)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     e[:, n] = samples[:, :, 0]
@@ -194,24 +231,18 @@ def oracle_evolve_pure(
     return JointPureState(e, g, grid)
 
 
-def oracle_evolve_mixed(
-    atom: AtomDensityMatrix, field: PhotonDistribution, profile, t_grid
-) -> AtomDensityMatrix:
-    """Numerically integrated counterpart of ``evolve_mixed``, for any field.
+def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
+    """The joint pure states ``oracle_evolve_mixed`` integrates for an atom
+    on a field, as (e0, g0, s, n) of ``_nonzero_blocks``.
 
     Diagonalizes the atomic state into members w_k phi_k. On a pure field
-    member k is one joint pure state sqrt(w_k) phi_k (x) C, whose photon
-    sectors are coherent, so the coherence pairs each state with itself. On
-    a photon-diagonal field member k splits into two joint pure states: its
-    |e> part, sqrt(w_k p_n) phi_k,e on |e,n>, and its |g> part,
-    sqrt(w_k p_n) phi_k,g on |g,n>. Photon sector n keeps the |e> part in
-    block n and the |g> part in block n - 1, so the populations are sums of
-    squared amplitudes and the coherence pairs the |e> part's e_n with the
-    |g> part's g_n. These sums are read straight off the solver's rows, in
-    time blocks, without building the joint states. Returns the batch form
-    of AtomDensityMatrix, one row per grid time.
+    member k is one joint pure state sqrt(w_k) phi_k (x) C, row k. On a
+    photon-diagonal field member k splits into two: its |e> part,
+    sqrt(w_k p_n) phi_k,e on |e,n>, row 2k, and its |g> part,
+    sqrt(w_k p_n) phi_k,g on |g,n>, row 2k + 1. Raises InvalidInputError
+    when the solve would pass the oracle's budget, so a caller can refuse a
+    case before anything runs.
     """
-    grid = _check_grid(profile, t_grid)
     vals, vecs = np.linalg.eigh(atom.as_matrix())
     if vals[0] < -1e-10:
         raise InvalidInputError("atom state has a negative eigenvalue")
@@ -225,7 +256,27 @@ def oracle_evolve_mixed(
     g0 = e0.copy()
     e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
     g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
-    s, n, samples = _integrate_rows(e0, g0, profile, grid)
+    return (e0, g0) + _nonzero_blocks(e0, g0)
+
+
+def oracle_evolve_mixed(
+    atom: AtomDensityMatrix, field: PhotonDistribution, profile, t_grid
+) -> AtomDensityMatrix:
+    """Numerically integrated counterpart of ``evolve_mixed``, for any field.
+
+    Integrates the joint pure states of ``oracle_rows``. On a pure field
+    their photon sectors are coherent, so the coherence pairs each state
+    with itself. On a photon-diagonal field photon sector n keeps the |e>
+    part in block n and the |g> part in block n - 1, so the populations are
+    sums of squared amplitudes and the coherence pairs the |e> part's e_n
+    with the |g> part's g_n. These sums are read straight off the solver's
+    rows, one time block at a time as the solver completes it, without
+    building the joint states or keeping the samples. Returns the batch form
+    of AtomDensityMatrix, one row per grid time.
+    """
+    grid = _check_grid(profile, t_grid)
+    e0, g0, s, n = oracle_rows(atom, field)
+    stride = 1 if field.amplitudes is not None else 2
     # rho_eg pairs row (s, n) of an |e> part, s % stride == 0, with row
     # (s + stride - 1, n - 1) of its |g> part, which holds g[n]; for n = 0 the
     # column index -1 finds no row and the dark g0[s + stride - 1, 0] stands in.
@@ -242,15 +293,17 @@ def oracle_evolve_mixed(
     ee = np.empty(grid.size)
     gg = np.empty(grid.size)
     eg = np.empty(grid.size, dtype=complex)
-    # Time blocks bound the temporaries as the closed-form kernel's are bound.
-    step = max(1, _BLOCK_ELEMENTS // max(1, samples[0].size))
-    for i in range(0, grid.size, step):
-        block = samples[i : i + step]
+
+    def reduce(start, block):
+        stop = start + len(block)
         sq = np.sum(np.abs(block) ** 2, axis=1)
-        ee[i : i + step] = sq[:, 0]
-        gg[i : i + step] = sq[:, 1] + dark_gg
-        eg[i : i + step] = np.sum(block[:, r_e, 0] * block[:, r_g, 1].conj(), axis=1)
-        eg[i : i + step] += block[:, r_dark, 0] @ g_dark
+        ee[start:stop] = sq[:, 0]
+        gg[start:stop] = sq[:, 1] + dark_gg
+        eg[start:stop] = np.sum(block[:, r_e, 0] * block[:, r_g, 1].conj(), axis=1)
+        eg[start:stop] += block[:, r_dark, 0] @ g_dark
+
+    y0 = np.stack([e0[s, n], g0[s, n + 1]], axis=1)
+    _integrate_stack(n, y0, profile, grid, reduce=reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(ee, gg, eg)

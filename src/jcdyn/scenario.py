@@ -32,7 +32,7 @@ from .observables import (
     population_inversion,
     von_neumann_entropy,
 )
-from .oracle import oracle_evolve_mixed
+from .oracle import oracle_evolve_mixed, oracle_rows
 
 # Not called here: bench/run.py's trace_targets wraps these jcdyn.scenario
 # attributes by name, so they stay importable from this module.
@@ -479,11 +479,9 @@ def _observable_columns(outputs, rho, xi):
     return cols
 
 
-def _evolve_case(scenario, field_spec, profile, grid):
+def _evolve_case(scenario, rho0, dist, profile, grid):
     """Observable columns of one case, each with a ``dev_`` companion
     appended when the oracle checks the case."""
-    dist = field_spec.build(scenario.tail_epsilon)
-    rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
     mass = dist.weights.sum()  # rho is divided by this, so xi = mass * conj(rho_eg)
 
     def columns(rho):
@@ -503,7 +501,8 @@ def run(scenario: Scenario) -> ResultTable:
     and sweep cases run one after another, so rows assemble in
     sweep-value-then-time order. With ``oracle_check`` set, each observable
     column gains a ``dev_`` companion holding the absolute gap to the
-    reference integrator.
+    reference integrator, and every case is checked against the oracle's
+    budget before the first one runs.
     """
     grid = np.linspace(0.0, scenario.t_end, scenario.steps)
     if scenario.sweep is None:
@@ -512,10 +511,18 @@ def run(scenario: Scenario) -> ResultTable:
         cases = [
             (float(v), *_sweep_case(scenario, v)) for v in scenario.sweep.values
         ]
+    cases = [
+        (value, field_spec.build(scenario.tail_epsilon), profile)
+        for value, field_spec, profile in cases
+    ]
+    rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
+    if scenario.oracle_check:
+        for _, dist, _ in cases:
+            oracle_rows(rho0, dist)
 
     blocks = []
-    for value, field_spec, profile in cases:
-        cols = _evolve_case(scenario, field_spec, profile, grid)
+    for value, dist, profile in cases:
+        cols = _evolve_case(scenario, rho0, dist, profile, grid)
         arrays = [grid, *cols.values()]
         if value is not None:
             arrays.insert(0, np.full(grid.size, value))

@@ -153,6 +153,22 @@ def test_run_unknown_svg_column_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def test_run_failed_svg_leaves_no_csv(tmp_path, capsys):
+    # The SVG's name is taken by a directory: the CSV, written first, must
+    # not be left behind by a run that exits 2.
+    path = write_scenario(tmp_path, BASIC)
+    out_dir = tmp_path / "results"
+    (out_dir / "case.svg").mkdir(parents=True)
+    code = cli.main(["run", str(path), "--csv", "--svg", "W", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: cannot write output: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == ["case.svg"]
+    assert not any((out_dir / "case.svg").iterdir())
+
+
 def test_run_oracle_flag_reports_deviation(tmp_path, capsys):
     path = write_scenario(tmp_path, BASIC)
     assert cli.main(["run", str(path), "--oracle"]) == 0
@@ -267,19 +283,12 @@ def test_sweep_over_row_budget_exits_2(tmp_path, capsys):
     assert peak < 2**20
 
 
-def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # plus_x on thermal mean_n=100 integrates about 5,550 rows; at 4,001
-    # times that is over 2^24 samples, refused before the solver starts.
-    from jcdyn import oracle
+def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc):
+    from jcdyn import oracle, scenario
 
     calls = []
     monkeypatch.setattr(oracle, "solve_ivp", lambda *a, **k: calls.append(a))
-    doc = dict(
-        BASIC,
-        atom="plus_x",
-        field={"thermal": 100},
-        time={"t_end": 1.0, "steps": 4001},
-    )
+    monkeypatch.setattr(scenario, "evolve_mixed", lambda *a: calls.append(a))
     path = write_scenario(tmp_path, doc)
     assert cli.main(["run", str(path), "--oracle"]) == 2
     err = capsys.readouterr().err
@@ -287,6 +296,38 @@ def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert f"over the budget of {oracle.MAX_ORACLE_SAMPLES}" in err
     assert err.count("\n") == 1
     assert calls == []
+
+
+def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # plus_x on thermal mean_n=1e4 integrates about 552,600 rows, whose 16
+    # stage vectors pass 2^24 values: refused before the closed form or the
+    # solver runs.
+    doc = dict(BASIC, atom="plus_x", field={"thermal": 1e4})
+    assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc)
+
+
+def test_sweep_over_oracle_budget_exits_2_before_its_first_case(
+    tmp_path, capsys, monkeypatch
+):
+    sweep = {"parameter": "mean_n", "values": [1, 1e4]}
+    doc = dict(BASIC, atom="plus_x", field={"thermal": 1}, sweep=sweep)
+    assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc)
+
+
+def test_compare_beyond_the_old_sample_budget(tmp_path, capsys):
+    # 20,001 times x 2 x 567 rows is 22,681,134 samples, more than 2^24; the
+    # solver hands them to the reduction block by block, so none are kept.
+    doc = dict(
+        BASIC,
+        field={"thermal": 20},
+        profile={"sinusoidal": {"lambda0": 1, "zeta3": 0.5}},
+        time={"t_end": 2.0, "steps": 20001},
+    )
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["compare", str(path)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("overall max deviation: ")
+    assert float(last.split(": ")[1]) < 1e-7
 
 
 def test_run_without_oracle_loads_no_scipy():

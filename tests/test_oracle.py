@@ -226,28 +226,20 @@ PAIRING_FIELDS = {"thermal": thermal_weights(1.2), "coherent": coherent_amplitud
 @pytest.mark.parametrize("field_name", PAIRING_FIELDS)
 @pytest.mark.parametrize("atom_name", PAIRING_ATOMS)
 def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
-    atom_name, field_name, monkeypatch
+    atom_name, field_name, solves, monkeypatch
 ):
-    # The reduction reads the solver's rows directly; scattering the same
-    # rows back into joint states and reducing those must agree with it.
+    # The reduction reads the solver's rows block by block as they come;
+    # scattering the same rows back into joint states and reducing those
+    # must agree with it.
     from jcdyn import oracle
 
-    seen = []
-    original = oracle._integrate_rows
-
-    def capturing(e0, g0, *args):
-        out = original(e0, g0, *args)
-        seen.append((e0, g0) + out)
-        return out
-
-    monkeypatch.setattr(oracle, "_integrate_rows", capturing)
     monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 400)  # several time blocks
-    field = PAIRING_FIELDS[field_name]
+    atom, field = PAIRING_ATOMS[atom_name], PAIRING_FIELDS[field_name]
     grid = np.linspace(0.0, 3.0, 13)
-    rhos = oracle_evolve_mixed(
-        PAIRING_ATOMS[atom_name], field, SechCoupling(1.0, 0.2), grid
-    )
-    ((e0, g0, s, n, samples),) = seen
+    rhos = oracle_evolve_mixed(atom, field, SechCoupling(1.0, 0.2), grid)
+    ((_, _, _, samples),) = solves
+    e0, g0, s, n = oracle.oracle_rows(atom, field)
+    samples = samples.reshape(grid.size, -1, 2)
     if (atom_name, field_name) == ("ground", "coherent"):
         assert s.size == field.n_max  # the top block pairs two empty slots
     e = np.zeros((grid.size,) + e0.shape, dtype=complex)
@@ -266,20 +258,19 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     assert max_gap(rhos, ref) < 1e-15
 
 
-def test_mixed_oracle_holds_one_sample_copy(monkeypatch):
-    # The solver's samples are the one array that grows with times x rows;
-    # the reduction adds only time blocks bounded like the kernel's.
-    from jcdyn import oracle
+# Peak of the case below: 4.1 MiB at 201 and at 2001 times, 4.6 MiB at
+# 20,001, where the three output columns and their conditioned copies take
+# the difference. Holding the samples took 16.4 MiB at 201 times and
+# 140.9 MiB at 2001.
+MIXED_ORACLE_PEAK = 6 * 2**20
 
-    y0_sizes = []
-    original = oracle.solve_ivp
 
-    def sizing(*args, **kwargs):
-        y0_sizes.append(np.asarray(args[2]).size)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "solve_ivp", sizing)
-    grid = np.linspace(0.0, 4.0, 201)
+@pytest.mark.parametrize("steps", [201, 20001])
+def test_mixed_oracle_memory_does_not_grow_with_times(steps):
+    # The samples go from the solver to the reduction one time block at a
+    # time, so past the outputs' few columns the peak is the solver's
+    # working set and one block, at 201 times as at 20,001.
+    grid = np.linspace(0.0, 4.0, steps)
     rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
     tracemalloc.start()
     try:
@@ -289,9 +280,7 @@ def test_mixed_oracle_holds_one_sample_copy(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (size,) = y0_sizes
-    sample_bytes = grid.size * size * np.dtype(complex).itemsize
-    assert peak <= 1.25 * sample_bytes
+    assert peak <= MIXED_ORACLE_PEAK
 
 
 def test_rk4_and_adaptive_agree():
