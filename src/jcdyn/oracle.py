@@ -1,21 +1,23 @@
 """Brute-force trajectory validator.
 
 Integrates the bare-basis Schrodinger equation block by block with a
-general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` at fixed
+general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` at its fixed
 settings (or, in ``integrate_block``, fixed-step RK4), sampling lambda(t)
 pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
 closed-form path validates the area-based solution end to end. All blocks
 of a run are stacked into one flat state vector so the solver is called
-once per trajectory. ``oracle_evolve_mixed`` takes any atom on any field,
+once per trajectory, and its samples come back in time blocks through
+one reused buffer. ``oracle_evolve_mixed`` takes any atom on any field,
 as ``evolve_mixed`` does, and returns the reduced atom, summed in time
 blocks as the solver hands the samples over, so that it holds the solver's
 working set and one time block, whatever the number of grid times.
 ``oracle_evolve_pure`` returns the joint state of a pure atom on a pure
-field. Both evolve joint pure states through one helper, and every block
-starts at its physical amplitude, for atom eigen-member k of weight w_k:
-sqrt(w_k) phi_k C_n on a pure field, sqrt(w_k p_n) phi_k on a
-photon-diagonal one. So the solver tolerances act alike on every field.
+field, copying each time block into it. Both evolve joint pure states
+through one helper, and every block starts at its physical amplitude, for
+atom eigen-member k of weight w_k: sqrt(w_k) phi_k C_n on a pure field,
+sqrt(w_k p_n) phi_k on a photon-diagonal one. So the solver tolerances
+act alike on every field.
 """
 
 from __future__ import annotations
@@ -39,23 +41,20 @@ _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex values one solve's stage vectors may hold: DOP853 keeps
 # _STAGES vectors of 2 values per integrated row, 256 MiB at 2^24 values.
-# The samples do not count: the mixed oracle reduces them in time blocks,
-# and the pure oracle's are its return value.
+# The samples do not count: they arrive in time blocks, which the mixed
+# oracle reduces and the other entries copy into their return value.
 MAX_ORACLE_SAMPLES = 2**24
 _STAGES = 16  # jcdyn.dop853.C.size, written out so the budget loads no solver
 
-# DOP853 settings of every reference solve. They are fixed: the oracle is
-# one reference for the closed form, not a solver to tune.
-_RTOL = 1e-10
-_ATOL = 1e-12
-_MAX_STEP = 0.1
+# Most steps one solve may take, counted before the first: DOP853 takes at
+# least one per dop853.MAX_STEP of the span, RK4 exactly its steps.
+MAX_ORACLE_STEPS = 2**20
 
 
 def solve_ivp(fun, t_span, y0, **options):
     """``jcdyn.dop853.solve_ivp``, imported on first use, so that a run
-    without the oracle never loads the integrator. Takes scipy's
-    ``solve_ivp`` call shape and returns ``.y``, ``.nfev``, ``.success``
-    and ``.message``."""
+    without the oracle never loads the integrator. The samples go to the
+    ``sink`` keyword; returns ``.nfev``, ``.success`` and ``.message``."""
     from .dop853 import solve_ivp
 
     return solve_ivp(fun, t_span, y0, **options)
@@ -74,24 +73,22 @@ def _check_grid(profile, t_grid):
     return grid
 
 
-def _integrate_stack(blocks, y0, profile, grid, rk4_step=None, reduce=None):
-    """Evolve stacked 2-level blocks; returns (T, B, 2) complex samples.
+def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
+    """Evolve stacked 2-level blocks, handing their samples to ``consume``.
 
     Row i holds the (e, g) pair of block ``blocks[i]``, obeying
     i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
     already checked by ``_check_grid``. DOP853 steps it, or with
     ``rk4_step`` set, fixed-step RK4 subdividing each grid interval evenly
-    into steps of at most that size. With ``reduce`` set nothing is
-    returned: each run of grid times start..stop-1 that fills a block of
-    _BLOCK_ELEMENTS entries (one time at least), and the rest at the end,
-    goes to ``reduce(start, samples)`` as soon as it is complete, and the
+    into steps of at most that size. Each run of grid times start..stop-1
+    that fills a block of _BLOCK_ELEMENTS entries (one time at least), and
+    the rest at the end, goes to ``consume(start, samples)`` as
+    (stop - start, B, 2) complex samples as soon as it is complete, and the
     block's buffer is then reused. Samples are checked finite block by
-    block, before ``reduce`` sees them.
+    block, before ``consume`` sees them.
     """
     y0 = np.asarray(y0, dtype=complex).reshape(-1)
-    size = grid.size
-    if reduce is not None:
-        size = min(size, max(1, _BLOCK_ELEMENTS // max(1, y0.size)))
+    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, y0.size)))
     buf = np.empty((size, y0.size), dtype=complex)
     first = 0  # grid index of buf[0]
 
@@ -100,8 +97,7 @@ def _integrate_stack(blocks, y0, profile, grid, rk4_step=None, reduce=None):
         # A NaN or inf anywhere makes the sum non-finite, with no mask allocated.
         if not math.isfinite(np.sum(block.view(float))):
             raise NumericalFailureError("reference integrator produced non-finite values")
-        if reduce is not None:
-            reduce(first, block)
+        consume(first, block)
 
     def sink(start, stop):
         nonlocal first
@@ -117,14 +113,25 @@ def _integrate_stack(blocks, y0, profile, grid, rk4_step=None, reduce=None):
     else:
         _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink)
     flush(grid.size)
-    if reduce is None:
-        return buf.reshape(grid.size, -1, 2)
 
 
 def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
     """Step ``_integrate_stack``'s blocks over a grid that ends after 0,
-    writing the samples through ``sink`` as ``dop853.solve_ivp`` does."""
+    writing the samples through ``sink`` as ``dop853.solve_ivp`` does.
+    Refuses a solve that would take more than MAX_ORACLE_STEPS steps before
+    the first."""
     t_end = float(grid[-1])
+    if rk4_step is None:
+        from .dop853 import MAX_STEP
+
+        steps = np.ceil(t_end / MAX_STEP)
+    else:
+        with np.errstate(over="ignore"):
+            steps = np.sum(np.maximum(1.0, np.ceil(np.diff(grid) / rk4_step)))
+    if steps > MAX_ORACLE_STEPS:
+        raise InvalidInputError(
+            f"oracle needs {steps:.7g} steps, over the budget of {MAX_ORACLE_STEPS}"
+        )
     coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
     # Validate the profile on the whole span once; each stage then calls
     # profile.rate unchecked.
@@ -141,17 +148,7 @@ def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
         return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
 
     if rk4_step is None:
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            y0,
-            method="DOP853",
-            t_eval=grid,
-            rtol=_RTOL,
-            atol=_ATOL,
-            max_step=_MAX_STEP,
-            sink=sink,
-        )
+        sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=grid, sink=sink)
         if not sol.success:
             raise NumericalFailureError(f"reference integrator failed: {sol.message}")
         return
@@ -187,7 +184,13 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
     grid = _check_grid(profile, t_grid)
-    return _integrate_stack([n], pair, profile, grid, rk4_step)[:, 0, :]
+    out = np.empty((grid.size, 2), dtype=complex)
+
+    def consume(start, samples):
+        out[start : start + len(samples)] = samples[:, 0]
+
+    _integrate_stack([n], pair, profile, grid, consume, rk4_step)
+    return out
 
 
 def _nonzero_blocks(e0, g0):
@@ -222,12 +225,16 @@ def oracle_evolve_pure(
     grid = _check_grid(profile, t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
     _, n = _nonzero_blocks(e0[None], g0[None])
-    samples = _integrate_stack(n, np.stack([e0[n], g0[n + 1]], axis=1), profile, grid)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
-    e[:, n] = samples[:, :, 0]
-    g[:, n + 1] = samples[:, :, 1]
     g[:, 0] = g0[0]
+
+    def consume(start, samples):
+        stop = start + len(samples)
+        e[start:stop, n] = samples[:, :, 0]
+        g[start:stop, n + 1] = samples[:, :, 1]
+
+    _integrate_stack(n, np.stack([e0[n], g0[n + 1]], axis=1), profile, grid, consume)
     return JointPureState(e, g, grid)
 
 
@@ -303,7 +310,7 @@ def oracle_evolve_mixed(
         eg[start:stop] += block[:, r_dark, 0] @ g_dark
 
     y0 = np.stack([e0[s, n], g0[s, n + 1]], axis=1)
-    _integrate_stack(n, y0, profile, grid, reduce=reduce)
+    _integrate_stack(n, y0, profile, grid, reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(ee, gg, eg)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jcdyn import oracle
+from jcdyn import dop853, oracle
 
 
 @pytest.fixture
@@ -11,15 +11,15 @@ def solves(monkeypatch):
     """Every call of ``oracle.solve_ivp`` in the test, as
     (args, kwargs, solution, samples).
 
-    ``kwargs`` lacks the ``sink`` keyword, so the call replays into scipy;
-    ``samples`` is the (len(t_eval), y0.size) array of every state the solver
-    produced, gathered from the views it wrote through the caller's sink, or
-    ``solution.y.T`` without one.
+    ``kwargs`` replays the call into scipy: the caller's keywords without
+    ``sink``, plus DOP853 and the solver's fixed settings. ``samples`` is
+    the (len(t_eval), y0.size) array of every state the solver produced,
+    gathered from the views it wrote through the caller's sink.
     """
     calls = []
     original = oracle.solve_ivp
 
-    def recording(*args, sink=None, **kwargs):
+    def recording(*args, sink, **kwargs):
         views = []
 
         def gathering(start, stop):
@@ -30,10 +30,15 @@ def solves(monkeypatch):
             views.append(sink(start, stop))
             return views[-1]
 
-        extra = {} if sink is None else {"sink": gathering}
-        sol = original(*args, **kwargs, **extra)
-        samples = sol.y.T if sink is None else np.concatenate(views)
-        calls.append((args, kwargs, sol, samples))
+        sol = original(*args, **kwargs, sink=gathering)
+        replay = dict(
+            kwargs,
+            method="DOP853",
+            rtol=dop853.RTOL,
+            atol=dop853.ATOL,
+            max_step=dop853.MAX_STEP,
+        )
+        calls.append((args, replay, sol, np.concatenate(views)))
         return sol
 
     monkeypatch.setattr(oracle, "solve_ivp", recording)

@@ -425,3 +425,17 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     path = write_scenario(tmp_path, BASIC)
     assert cli.main(["run", str(path)]) == 3
     assert "synthetic blow-up" in capsys.readouterr().err
+
+
+def test_compare_over_step_budget_exits_2(tmp_path, capsys):
+    # DOP853 needs at least t_end / dop853.MAX_STEP = 1e13 steps here; the
+    # count is refused before the first step, as `run` returns at once.
+    from jcdyn import oracle
+
+    doc = dict(BASIC, field={"coherent": 1}, time={"t_end": 1e12, "steps": 5})
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["compare", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: oracle needs 1e+13 steps, over the budget of "
+        f"{oracle.MAX_ORACLE_STEPS}\n"
+    )

@@ -78,8 +78,8 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_oracle_solves_bit_identical_to_scipy(name, solves):
-    # The mixed cases hand their samples to a sink; the fixture gathers them
-    # and replays the call without it.
+    # Every case hands its samples to a sink; the fixture gathers them and
+    # replays the call into scipy without it.
     CASES[name]()
     assert len(solves) == 1
     args, kwargs, ours, samples = solves[0]
@@ -97,13 +97,27 @@ def test_step_failure_matches_scipy():
     def blowup(t, y):
         return y * y
 
-    kwargs = dict(method="DOP853", t_eval=[0.0, 0.5, 1.5], rtol=1e-10, atol=1e-12)
-    ours = oracle.solve_ivp(blowup, (0.0, 2.0), [1.0], **kwargs)
-    theirs = scipy_solve_ivp(blowup, (0.0, 2.0), [1.0], **kwargs)
+    t_eval = [0.0, 0.5, 1.5]
+    out = np.full((len(t_eval), 1), np.nan)
+    handed = []
+
+    def sink(start, stop):
+        handed.append((start, stop))
+        return out[start:stop]
+
+    ours = oracle.solve_ivp(blowup, (0.0, 2.0), [1.0], t_eval=t_eval, sink=sink)
+    theirs = scipy_solve_ivp(
+        blowup, (0.0, 2.0), [1.0], method="DOP853", t_eval=t_eval,
+        rtol=dop853.RTOL, atol=dop853.ATOL, max_step=dop853.MAX_STEP,
+    )
     assert not ours.success and not theirs.success
     assert ours.message == theirs.message == dop853.TOO_SMALL_STEP
     assert ours.nfev == theirs.nfev
-    assert np.array_equal(ours.y, theirs.y)
+    reached = theirs.y.shape[1]
+    assert np.array_equal(out[:reached].T, theirs.y)
+    # Rows the solver never reached are never handed out.
+    assert max(stop for _, stop in handed) <= reached
+    assert np.all(np.isnan(out[reached:]))
 
 
 def test_step_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -135,13 +149,14 @@ def test_rejects_what_it_does_not_implement():
     def rhs(t, y):
         return -y
 
+    out = np.empty((2, 1))
+
+    def sink(start, stop):
+        return out[start:stop]
+
     with pytest.raises(ValueError):
-        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], method="RK45", t_eval=[1.0])
+        dop853.solve_ivp(rhs, (1.0, 0.0), [1.0], t_eval=[0.5], sink=sink)
     with pytest.raises(ValueError):
-        dop853.solve_ivp(rhs, (1.0, 0.0), [1.0], t_eval=[0.5])
+        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 0.2], sink=sink)
     with pytest.raises(ValueError):
-        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 0.2])
-    with pytest.raises(ValueError):
-        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 1.5])
-    with pytest.raises(ValueError):
-        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[1.0], rtol=1e-15)
+        dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 1.5], sink=sink)

@@ -283,6 +283,81 @@ def test_mixed_oracle_memory_does_not_grow_with_times(steps):
     assert peak <= MIXED_ORACLE_PEAK
 
 
+def test_pure_oracle_holds_no_sample_copy():
+    # Each time block of samples goes straight into the joint state's
+    # arrays, so past them the peak is the solver's working set and one
+    # block. Collecting every sample first took 43 MiB more here.
+    grid = np.linspace(0.0, 4.0, 20001)
+    tracemalloc.start()
+    try:
+        states = oracle_evolve_pure(
+            AtomState.plus_x(), coherent_amplitudes(5.0), SechCoupling(1.0, 0.3), grid
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.amps_e.nbytes + states.amps_g.nbytes + 2 * 2**20
+
+
+BLOCK_ENTRIES = {
+    "pure": lambda grid: oracle_evolve_pure(
+        AtomState(0.8, 0.6j), coherent_amplitudes(2.0), SechCoupling(1.0, 0.2), grid
+    ),
+    "dop853": lambda grid: integrate_block(1, (0.6, 0.8j), SechCoupling(1.0, 0.2), grid),
+    "rk4": lambda grid: integrate_block(
+        1, (0.6, 0.8j), SechCoupling(1.0, 0.2), grid, rk4_step=0.05
+    ),
+}
+
+
+def result_arrays(result):
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [result.amps_e, result.amps_g]
+
+
+@pytest.mark.parametrize("elements", [1, 10, 100])
+@pytest.mark.parametrize("entry", BLOCK_ENTRIES)
+def test_time_blocks_fill_the_result_bit_for_bit(entry, elements, monkeypatch):
+    # However the grid splits into time blocks (one time per block, several
+    # with a shorter last one), the result comes out as from one block.
+    from jcdyn import oracle
+
+    grid = np.linspace(0.0, 3.0, 13)
+    whole = BLOCK_ENTRIES[entry](grid)
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", elements)
+    split = BLOCK_ENTRIES[entry](grid)
+    for a, b in zip(result_arrays(whole), result_arrays(split), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "rk4_step, grid, steps",
+    [(None, [0.0, 0.25, 0.5], 5), (0.5, [0.0, 1.0, 2.5], 5)],
+)
+def test_oracle_counts_its_steps_before_the_first(rk4_step, grid, steps, monkeypatch):
+    # DOP853 takes at least t_end / dop853.MAX_STEP steps, RK4 exactly
+    # ceil(interval / rk4_step) per grid interval: a count at the budget
+    # runs, one past it is refused.
+    from jcdyn import oracle
+
+    monkeypatch.setattr(oracle, "MAX_ORACLE_STEPS", steps)
+    integrate_block(0, (1.0, 0.0), CONST, grid, rk4_step=rk4_step)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_STEPS", steps - 1)
+    with pytest.raises(InvalidInputError) as err:
+        integrate_block(0, (1.0, 0.0), CONST, grid, rk4_step=rk4_step)
+    assert str(err.value) == f"oracle needs {steps} steps, over the budget of {steps - 1}"
+
+
+def test_rk4_over_step_budget_is_refused():
+    # 1e300 steps would never finish; they are refused before the first.
+    from jcdyn import oracle
+
+    with pytest.raises(InvalidInputError) as err:
+        integrate_block(0, (1, 0), CONST, [0.0, 1.0], rk4_step=1e-300)
+    assert str(err.value).endswith(f"over the budget of {oracle.MAX_ORACLE_STEPS}")
+
+
 def test_rk4_and_adaptive_agree():
     prof = SinusoidalCoupling(1.0, 0.9, p=2)
     grid = np.linspace(0.0, 4.0, 9)
