@@ -20,12 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidInputError, NumericalFailureError
+from .fields import _check_tail
 from .observables import revival_time
 from .output import check_selection, emit_csv, emit_svg, write_csv
 # format_csv is not called here; it stays importable from this module,
 # where bench/run.py's tracer wraps it by name.
 from .output import format_csv  # noqa: F401
-from .scenario import ORACLE_DEVIATION_LIMIT, parse_scenario, run
+from .scenario import ORACLE_DEVIATION_LIMIT, _at, parse_scenario, run
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -101,9 +102,8 @@ def _cmd_run(args):
     if args.oracle:
         scenario = replace(scenario, oracle_check=True)
     if args.tail_eps is not None:
-        if not 0.0 < args.tail_eps < 1.0:
-            raise InvalidInputError("--tail-eps must lie in (0, 1)")
-        scenario = replace(scenario, tail_epsilon=args.tail_eps)
+        tail_epsilon = _at("--tail-eps", _check_tail, args.tail_eps)
+        scenario = replace(scenario, tail_epsilon=tail_epsilon)
 
     table = run(scenario)
     if args.svg:

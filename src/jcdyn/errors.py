@@ -1,6 +1,8 @@
 """Exception types shared across the library, and the one check of a
 numeric argument."""
 
+import math
+
 import numpy as np
 
 # Per kind: the dtype kinds accepted, then one entry and many entries named.
@@ -82,6 +84,16 @@ def as_numbers(value, name, ndim=0, kind=float):
         raise InvalidInputError(f"{name} must be {' or '.join(forms)}")
     if kind is not int:
         arr = arr.astype(kind, copy=False)
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise InvalidInputError(f"{name} must be finite")
     return arr.item() if arr.ndim == 0 else arr
+
+
+def all_finite(arr):
+    """Whether every entry of a float or complex array, of any layout, is
+    finite. Reads the least and greatest real and imaginary parts, which a
+    NaN propagates to, so no mask as large as the array is allocated."""
+    parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
+    return arr.size == 0 or all(
+        math.isfinite(part.min()) and math.isfinite(part.max()) for part in parts
+    )

@@ -34,7 +34,7 @@ from .dynamics import (
     _BLOCK_ELEMENTS,
     _initial_amplitudes,
 )
-from .errors import InvalidInputError, NumericalFailureError, as_numbers
+from .errors import InvalidInputError, NumericalFailureError, all_finite, as_numbers
 from .fields import PhotonDistribution
 
 _EIGENWEIGHT_FLOOR = 1e-15
@@ -60,16 +60,31 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _check_grid(profile, t_grid):
+def _check_grid(profile, t_grid, rk4_step=None):
     """A grid is checked as a time is (``_as_times``), and must be a
-    non-empty 1-D array that starts at 0 and rises strictly."""
+    non-empty 1-D array that starts at 0 and rises strictly. A solve over
+    it of more than MAX_ORACLE_STEPS steps is refused before the first:
+    DOP853 takes at least one per dop853.MAX_STEP of the span, RK4 with
+    ``rk4_step`` exactly ceil(interval / rk4_step) per grid interval."""
     grid = _as_times(profile, t_grid)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("t_grid must be a non-empty 1-D array")
     if grid[0] != 0.0:
         raise InvalidInputError("t_grid must start at 0")
-    if not np.all(np.diff(grid) > 0.0):
+    gaps = np.diff(grid)
+    if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
+    if rk4_step is None:
+        from .dop853 import MAX_STEP
+
+        steps = np.ceil(grid[-1] / MAX_STEP)
+    else:
+        with np.errstate(over="ignore"):
+            steps = np.sum(np.maximum(1.0, np.ceil(gaps / rk4_step)))
+    if steps > MAX_ORACLE_STEPS:
+        raise InvalidInputError(
+            f"oracle needs {steps:.7g} steps, over the budget of {MAX_ORACLE_STEPS}"
+        )
     return grid
 
 
@@ -78,14 +93,14 @@ def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
 
     Row i holds the (e, g) pair of block ``blocks[i]``, obeying
     i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
-    already checked by ``_check_grid``. DOP853 steps it, or with
-    ``rk4_step`` set, fixed-step RK4 subdividing each grid interval evenly
-    into steps of at most that size. Each run of grid times start..stop-1
-    that fills a block of _BLOCK_ELEMENTS entries (one time at least), and
-    the rest at the end, goes to ``consume(start, samples)`` as
-    (stop - start, B, 2) complex samples as soon as it is complete, and the
-    block's buffer is then reused. Samples are checked finite block by
-    block, before ``consume`` sees them.
+    already checked by ``_check_grid`` with the same ``rk4_step``. DOP853
+    steps it, or with ``rk4_step`` set, fixed-step RK4 subdividing each
+    grid interval evenly into steps of at most that size. Each run of grid
+    times start..stop-1 that fills a block of _BLOCK_ELEMENTS entries (one
+    time at least), and the rest at the end, goes to
+    ``consume(start, samples)`` as (stop - start, B, 2) complex samples as
+    soon as it is complete, and the block's buffer is then reused. Samples
+    are checked finite block by block, before ``consume`` sees them.
     """
     y0 = np.asarray(y0, dtype=complex).reshape(-1)
     size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, y0.size)))
@@ -94,8 +109,7 @@ def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
 
     def flush(stop):
         block = buf[: stop - first].reshape(stop - first, -1, 2)
-        # A NaN or inf anywhere makes the sum non-finite, with no mask allocated.
-        if not math.isfinite(np.sum(block.view(float))):
+        if not all_finite(block):
             raise NumericalFailureError("reference integrator produced non-finite values")
         consume(first, block)
 
@@ -117,21 +131,8 @@ def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
 
 def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
     """Step ``_integrate_stack``'s blocks over a grid that ends after 0,
-    writing the samples through ``sink`` as ``dop853.solve_ivp`` does.
-    Refuses a solve that would take more than MAX_ORACLE_STEPS steps before
-    the first."""
+    writing the samples through ``sink`` as ``dop853.solve_ivp`` does."""
     t_end = float(grid[-1])
-    if rk4_step is None:
-        from .dop853 import MAX_STEP
-
-        steps = np.ceil(t_end / MAX_STEP)
-    else:
-        with np.errstate(over="ignore"):
-            steps = np.sum(np.maximum(1.0, np.ceil(np.diff(grid) / rk4_step)))
-    if steps > MAX_ORACLE_STEPS:
-        raise InvalidInputError(
-            f"oracle needs {steps:.7g} steps, over the budget of {MAX_ORACLE_STEPS}"
-        )
     coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
     # Validate the profile on the whole span once; each stage then calls
     # profile.rate unchecked.
@@ -183,7 +184,7 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     pair = as_numbers(initial, "initial", 1, complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
-    grid = _check_grid(profile, t_grid)
+    grid = _check_grid(profile, t_grid, rk4_step)
     out = np.empty((grid.size, 2), dtype=complex)
 
     def consume(start, samples):

@@ -4,7 +4,8 @@ A scenario is a JSON object pinning down the initial atom, the initial
 field, the coupling profile, the time grid, and which observables to
 tabulate. Parsing is strict: unknown keys and out-of-range values are
 rejected with the dotted path of the offending entry, so a typo cannot
-silently change the physics.
+silently change the physics. Each value is checked by the library function
+that meets it again at run time, and its message follows the path.
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .coupling import PROFILES, check_parameter, scalar_fields
 from .dynamics import AtomDensityMatrix, AtomState, evolve_mixed
-from .errors import InvalidInputError, ScenarioError
+from .errors import InvalidInputError, ScenarioError, as_numbers
 from .fields import (
     DEFAULT_TAIL_EPSILON,
+    _check_tail,
+    _checked,
     coherent_amplitudes,
     custom_distribution,
     thermal_weights,
@@ -32,7 +34,7 @@ from .observables import (
     population_inversion,
     von_neumann_entropy,
 )
-from .oracle import oracle_evolve_mixed, oracle_rows
+from .oracle import _check_grid, oracle_evolve_mixed, oracle_rows
 
 # Not called here: bench/run.py's trace_targets wraps these jcdyn.scenario
 # attributes by name, so they stay importable from this module.
@@ -162,36 +164,23 @@ def _check_keys(obj, path, required, optional=()):
             _err(path, f"missing key {key!r}")
 
 
-def _real(value, path, *, minimum=None, exclusive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _err(path, "expected a number")
-    if not abs(value) <= sys.float_info.max:  # inf, nan or an int beyond float
-        _err(path, "must be finite")
-    value = float(value)
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            _err(path, f"must be > {minimum}")
-        if not exclusive and value < minimum:
-            _err(path, f"must be >= {minimum}")
-    return value
-
-
-def _integer(value, path, *, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _err(path, "expected an integer")
-    if value < minimum:
-        _err(path, f"must be >= {minimum}")
-    return value
+def _at(path, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a library check, with its
+    InvalidInputError reported at ``path``."""
+    try:
+        return check(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
 def _complex_number(value, path):
-    """A complex entry: a plain number or a [real, imag] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A complex entry: a JSON number or a [real, imag] pair."""
+    if type(value) in (int, float):
         value = [value, 0.0]
     if not (isinstance(value, list) and len(value) == 2):
         _err(path, "expected a number or [real, imag]")
-    re = _real(value[0], f"{path}[0]")
-    im = _real(value[1], f"{path}[1]")
+    re = _at(f"{path}[0]", as_numbers, value[0], "real part")
+    im = _at(f"{path}[1]", as_numbers, value[1], "imaginary part")
     return complex(re, im)
 
 
@@ -221,9 +210,8 @@ def _parse_field(node, path):
     if key == "coherent":
         return FieldSpec(kind="coherent", alpha=_complex_number(node[key], f"{path}.coherent"))
     if key == "thermal":
-        return FieldSpec(
-            kind="thermal", mean_n=_real(node[key], f"{path}.thermal", minimum=0.0)
-        )
+        mean_n = _at(f"{path}.thermal", _checked, node[key], "mean_n", 0)
+        return FieldSpec(kind="thermal", mean_n=mean_n)
     if key == "custom":
         body = node[key]
         if isinstance(body, list):
@@ -231,41 +219,27 @@ def _parse_field(node, path):
             body = {"weights": body}
         body = _require_mapping(body, f"{path}.custom")
         if set(body) == {"weights"}:
-            raw = body["weights"]
-            if not (isinstance(raw, list) and raw):
-                _err(f"{path}.custom.weights", "expected a non-empty list")
-            w = tuple(
-                _real(v, f"{path}.custom.weights[{i}]", minimum=0.0)
-                for i, v in enumerate(raw)
-            )
-            if abs(math.fsum(w) - 1.0) >= 1e-9:
-                _err(f"{path}.custom.weights", "must sum to 1 within 1e-9")
-            return FieldSpec(kind="custom_weights", weights=w)
+            w = body["weights"]
+            _at(f"{path}.custom.weights", custom_distribution, weights=w)
+            return FieldSpec(kind="custom_weights", weights=tuple(map(float, w)))
         if set(body) == {"amplitudes"}:
-            raw = body["amplitudes"]
-            if not (isinstance(raw, list) and raw):
-                _err(f"{path}.custom.amplitudes", "expected a non-empty list")
+            p = f"{path}.custom.amplitudes"
+            if not isinstance(body["amplitudes"], list):
+                _err(p, "expected a list")
             a = tuple(
-                _complex_number(v, f"{path}.custom.amplitudes[{i}]")
-                for i, v in enumerate(raw)
+                _complex_number(v, f"{p}[{i}]") for i, v in enumerate(body["amplitudes"])
             )
-            if abs(math.fsum(abs(x) ** 2 for x in a) - 1.0) >= 1e-9:
-                _err(f"{path}.custom.amplitudes", "norm must be 1 within 1e-9")
+            _at(p, custom_distribution, amplitudes=a)
             return FieldSpec(kind="custom_amplitudes", amplitudes=a)
         _err(f"{path}.custom", "expected exactly one of weights | amplitudes")
     _err(path, f"unknown field kind {key!r}")
 
 
 def _parameter(field, value, path):
-    """A profile parameter from JSON, bounded by the profile's own check."""
+    """A profile parameter from JSON, checked as the profile checks it."""
     if field.type is tuple:
-        if not isinstance(value, list):
-            _err(path, "expected a list")
-        return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
-    try:
-        return check_parameter(field, value)
-    except InvalidInputError as exc:
-        _err(path, str(exc))
+        return _at(path, as_numbers, value, field.name, 1)
+    return _at(path, check_parameter, field, value)
 
 
 def _parse_coupling(node, path):
@@ -286,10 +260,7 @@ def _parse_coupling(node, path):
         for f in params
         if f.name in body
     }
-    try:
-        return cls(**kwargs)
-    except InvalidInputError as exc:
-        _err(p, str(exc))
+    return _at(p, cls, **kwargs)
 
 
 def _parse_sweep(node, path, field, profile):
@@ -310,7 +281,7 @@ def _parse_sweep(node, path, field, profile):
     if not (isinstance(raw, list) and raw):
         _err(f"{path}.values", "expected a non-empty list")
     values = tuple(
-        _real(v, f"{path}.values[{i}]", minimum=0.0)
+        _at(f"{path}.values[{i}]", _checked, v, "mean_n", 0)
         if swept is None
         else _parameter(swept, v, f"{path}.values[{i}]")
         for i, v in enumerate(raw)
@@ -344,12 +315,15 @@ def parse_scenario(source) -> Scenario:
 
     time_node = _require_mapping(doc["time"], "time")
     _check_keys(time_node, "time", required=("t_end", "steps"), optional=("t_start",))
-    if "t_start" in time_node and _real(time_node["t_start"], "time.t_start") != 0:
+    t_start = time_node.get("t_start", 0)
+    if _at("time.t_start", as_numbers, t_start, "t_start") != 0:
         _err("time.t_start", "only 0 is supported")
-    t_end = _real(time_node["t_end"], "time.t_end", minimum=0.0, exclusive=True)
-    steps = _integer(time_node["steps"], "time.steps", minimum=2)
-    if steps > MAX_STEPS:
-        _err("time.steps", f"must be <= {MAX_STEPS}")
+    t_end = _at("time.t_end", as_numbers, time_node["t_end"], "t_end")
+    if not t_end > 0:
+        _err("time.t_end", "must be > 0")
+    steps = _at("time.steps", as_numbers, time_node["steps"], "steps", kind=int)
+    if not 2 <= steps <= MAX_STEPS:
+        _err("time.steps", f"must be >= 2 and <= {MAX_STEPS}")
 
     outputs = DEFAULT_OUTPUTS
     if "outputs" in doc:
@@ -367,13 +341,9 @@ def parse_scenario(source) -> Scenario:
     if "coherence" in outputs and not field.is_pure:
         _err("outputs", "coherence needs a pure field state")
 
-    tail_epsilon = DEFAULT_TAIL_EPSILON
-    if "tail_epsilon" in doc:
-        tail_epsilon = _real(
-            doc["tail_epsilon"], "tail_epsilon", minimum=0.0, exclusive=True
-        )
-        if tail_epsilon >= 1.0:
-            _err("tail_epsilon", "must be < 1")
+    tail_epsilon = _at(
+        "tail_epsilon", _check_tail, doc.get("tail_epsilon", DEFAULT_TAIL_EPSILON)
+    )
 
     oracle_check = False
     if "oracle_check" in doc:
@@ -502,7 +472,7 @@ def run(scenario: Scenario) -> ResultTable:
     sweep-value-then-time order. With ``oracle_check`` set, each observable
     column gains a ``dev_`` companion holding the absolute gap to the
     reference integrator, and every case is checked against the oracle's
-    budget before the first one runs.
+    budgets before the first one runs.
     """
     grid = np.linspace(0.0, scenario.t_end, scenario.steps)
     if scenario.sweep is None:
@@ -517,8 +487,9 @@ def run(scenario: Scenario) -> ResultTable:
     ]
     rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
     if scenario.oracle_check:
-        for _, dist, _ in cases:
+        for _, dist, profile in cases:
             oracle_rows(rho0, dist)
+            _check_grid(profile, grid)
 
     blocks = []
     for value, dist, profile in cases:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jcdyn.cli as cli
-from jcdyn import NumericalFailureError
+from jcdyn import NumericalFailureError, oracle
 
 BASIC = {
     "atom": "excited",
@@ -283,8 +283,8 @@ def test_sweep_over_row_budget_exits_2(tmp_path, capsys):
     assert peak < 2**20
 
 
-def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc):
-    from jcdyn import oracle, scenario
+def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc, budget):
+    from jcdyn import scenario
 
     calls = []
     monkeypatch.setattr(oracle, "solve_ivp", lambda *a, **k: calls.append(a))
@@ -293,7 +293,7 @@ def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc):
     assert cli.main(["run", str(path), "--oracle"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: oracle needs ")
-    assert f"over the budget of {oracle.MAX_ORACLE_SAMPLES}" in err
+    assert f"over the budget of {budget}" in err
     assert err.count("\n") == 1
     assert calls == []
 
@@ -303,7 +303,9 @@ def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
     # stage vectors pass 2^24 values: refused before the closed form or the
     # solver runs.
     doc = dict(BASIC, atom="plus_x", field={"thermal": 1e4})
-    assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc)
+    assert_oracle_refuses_before_running(
+        tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES
+    )
 
 
 def test_sweep_over_oracle_budget_exits_2_before_its_first_case(
@@ -311,7 +313,9 @@ def test_sweep_over_oracle_budget_exits_2_before_its_first_case(
 ):
     sweep = {"parameter": "mean_n", "values": [1, 1e4]}
     doc = dict(BASIC, atom="plus_x", field={"thermal": 1}, sweep=sweep)
-    assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc)
+    assert_oracle_refuses_before_running(
+        tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES
+    )
 
 
 def test_compare_beyond_the_old_sample_budget(tmp_path, capsys):
@@ -427,11 +431,9 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert "synthetic blow-up" in capsys.readouterr().err
 
 
-def test_compare_over_step_budget_exits_2(tmp_path, capsys):
+def test_compare_over_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     # DOP853 needs at least t_end / dop853.MAX_STEP = 1e13 steps here; the
-    # count is refused before the first step, as `run` returns at once.
-    from jcdyn import oracle
-
+    # count is refused before the closed form or the first step runs.
     doc = dict(BASIC, field={"coherent": 1}, time={"t_end": 1e12, "steps": 5})
     path = write_scenario(tmp_path, doc)
     assert cli.main(["compare", str(path)]) == 2
@@ -439,3 +441,37 @@ def test_compare_over_step_budget_exits_2(tmp_path, capsys):
         "invalid input: oracle needs 1e+13 steps, over the budget of "
         f"{oracle.MAX_ORACLE_STEPS}\n"
     )
+    assert_oracle_refuses_before_running(
+        tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_STEPS
+    )
+
+
+def test_bench_trace_targets_exist():
+    # bench/run.py's tracer wraps these module attributes by name; a
+    # missing one would fail only the traced benchmark. The file is read,
+    # not imported: importing it sets the BLAS thread variables.
+    import ast
+    import importlib
+
+    source = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    body = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "trace_targets"
+    )
+    modules = {}  # local name -> jcdyn module, from `cli, ... = api.cli, ...`
+    for node in ast.walk(body):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for name, value in zip(node.targets[0].elts, node.value.elts):
+                modules[name.id] = importlib.import_module(f"jcdyn.{value.attr}")
+    targets = [
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(body)
+        if isinstance(node, ast.Tuple)
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id in modules
+        and isinstance(node.elts[1], ast.Constant)
+    ]
+    assert len(targets) >= 20
+    missing = [t for t in targets if not hasattr(modules[t[0]], t[1])]
+    assert missing == []

@@ -186,3 +186,34 @@ def test_every_numeric_argument_follows_one_rule(name):
             assert all(type(x) is kind for x in kept), (name, value, kept)
         else:
             assert type(kept) is kind, (name, value, type(kept))
+
+
+def test_finiteness_check_allocates_no_mask():
+    # A (20001, 71) complex array is 22.7 MB; a boolean mask of it would be
+    # 1.36 MiB. The check reads min and max of its parts instead.
+    import tracemalloc
+
+    from jcdyn.errors import as_numbers
+
+    amps = np.zeros((20001, 71), dtype=complex)
+    tracemalloc.start()
+    try:
+        as_numbers(amps, "amps", 2, complex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_finiteness_check_reads_every_layout():
+    from jcdyn.errors import all_finite
+
+    amps = np.zeros((40, 6), dtype=complex)
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(0, -math.inf)):
+        amps[7, 3] = bad
+        assert not all_finite(amps) and not all_finite(amps[:, 1::2])
+        assert not all_finite(amps.T) and not all_finite(amps.real + amps.imag)
+        assert all_finite(amps[:, ::2])  # a strided view that skips the entry
+        amps[7, 3] = 0.0
+    assert all_finite(amps) and all_finite(np.array([-1e308, 1e308]))  # no sum overflows
+    assert all_finite(np.empty((0, 3))) and all_finite(np.empty(0, dtype=complex))

@@ -1,6 +1,7 @@
 """Scenario parsing, serialization round-trips, and table evaluation."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ import jcdyn.scenario as scenario_module
 from jcdyn import (
     ConstantCoupling,
     CustomCoupling,
+    InvalidInputError,
     Scenario,
     ScenarioError,
     SinusoidalCoupling,
     SweepSpec,
+    custom_distribution,
     parse_scenario,
     run,
     serialize,
 )
 from jcdyn.coupling import PROFILES
+from jcdyn.errors import as_numbers
+from jcdyn.fields import _check_tail, _checked
 from jcdyn.scenario import MAX_STEPS, AtomSpec, FieldSpec
 
 MINIMAL = {
@@ -100,6 +105,56 @@ def test_error_paths():
     assert parse_scenario(scen(time={"t_end": 2, "steps": MAX_STEPS})).steps == (
         MAX_STEPS
     )
+
+
+# (document overrides, path, the library check that refuses the same value)
+BAD_VALUES = {
+    "thermal-negative": (
+        {"field": {"thermal": -1}}, "field.thermal", partial(_checked, -1, "mean_n", 0)
+    ),
+    "weight-negative": (
+        {"field": {"custom": [-0.5, 1.5]}},
+        "field.custom.weights",
+        partial(custom_distribution, weights=[-0.5, 1.5]),
+    ),
+    "weights-sum": (
+        {"field": {"custom": {"weights": [0.3, 0.3]}}},
+        "field.custom.weights",
+        partial(custom_distribution, weights=[0.3, 0.3]),
+    ),
+    "amplitudes-norm": (
+        {"field": {"custom": {"amplitudes": [[0.6, 0.0], [0.0, 0.7]]}}},
+        "field.custom.amplitudes",
+        partial(custom_distribution, amplitudes=[0.6, 0.7j]),
+    ),
+    "tail": ({"tail_epsilon": 1.5}, "tail_epsilon", partial(_check_tail, 1.5)),
+    "steps-fraction": (
+        {"time": {"t_end": 2, "steps": 1.5}},
+        "time.steps",
+        partial(as_numbers, 1.5, "steps", kind=int),
+    ),
+    "steps-bool": (
+        {"time": {"t_end": 2, "steps": True}},
+        "time.steps",
+        partial(as_numbers, True, "steps", kind=int),
+    ),
+    "table-string": (
+        {"profile": {"custom": {"times": [0, "2"], "values": [1, 1]}}},
+        "profile.custom.times",
+        partial(as_numbers, [0, "2"], "times", 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_value_errors_carry_path_and_library_message(case):
+    overrides, path, check = BAD_VALUES[case]
+    with pytest.raises(InvalidInputError) as library:
+        check()
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(scen(**overrides))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {library.value}"
 
 
 def test_missing_t_end_names_path():
