@@ -13,6 +13,7 @@ the steps produce them, so a caller that reduces them never holds them all.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -174,20 +175,31 @@ def _initial_step(fun, t0, y0, f0, t_bound):
     return min(100 * h0, h1, interval, MAX_STEP)
 
 
-def _interpolant(fun, K, a, d, t_old, h, y_old, y, f):
-    """The 7 coefficient vectors of the step's order-7 interpolant, after
-    the 3 stages that only it needs; ``a`` and ``d`` are ``A`` and ``D`` in
-    the state's dtype."""
-    for s in range(N_STAGES + 1, C.size):
-        K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, a[s, :s]) * h)
-    delta = y - y_old
-    F = np.empty((7, y.size), dtype=y.dtype)
-    F[0] = delta
-    F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (f + K[0])
+def _norm2(x):
+    """``np.linalg.norm(x) ** 2`` of a 1-D array, by numpy's own operations
+    without its dispatch."""
+    if x.dtype.kind == "c":
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag)
+    else:
+        sq = x.dot(x)
+    return np.sqrt(sq) ** 2
+
+
+def _interpolant(F, K, d, h, y_old, y, work):
+    """Fill ``F`` with the 7 coefficient vectors of the step's order-7
+    interpolant from its 16 stages ``K``; ``K[0]`` and ``K[N_STAGES]`` are
+    the slopes at the step's ends, ``d`` is ``D`` in the state's dtype and
+    ``work`` is a buffer of y's size. The rows are scipy's delta,
+    h K[0] - delta, 2 delta - h (K[N_STAGES] + K[0]) and h (D @ K)."""
+    delta = np.subtract(y, y_old, out=F[0])
+    np.multiply(K[0], h, out=F[1])
+    F[1] -= delta
+    np.add(K[N_STAGES], K[0], out=F[2])
+    F[2] *= h
+    np.multiply(delta, 2, out=work)
+    np.subtract(work, F[2], out=F[2])
     np.dot(d, K, out=F[3:])
     F[3:] *= h
-    return F
 
 
 def _evaluate(F, y_old, x, out):
@@ -208,7 +220,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
 
     A step takes 12 evaluations of ``fun``; the 3 more stages of the dense
     output are paid only on steps that cover a point of ``t_eval``. The step
-    fails once it would be under 10 ulp of t.
+    fails once it would be under 10 ulp of t. The array handed to ``fun`` is
+    a buffer that the solver reuses, so ``fun`` must not keep it.
 
     The samples are written where ``sink(start, stop)`` says: it returns an
     array of 1 to ``stop - start`` rows of y0's size, and the solver fills
@@ -223,22 +236,35 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             and np.all(np.diff(t_eval) > 0)):
         raise ValueError("t_span must increase and t_eval must rise within it")
     dtype = complex if np.iscomplexobj(y0) else float
-    y = np.asarray(y0, dtype=dtype)
-    # The tableau in the state's dtype, so no stage sum casts it again.
-    a, b, e5, e3, d = (m.astype(dtype) for m in (A, B, E5, E3, D))
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=dtype)
-
-    f = counted(t, y)
-    h_abs = _initial_step(counted, t, y, f, t_bound)
+    # The solver's own copy: y and y_new swap buffers at each step.
+    y = np.array(y0, dtype=dtype)
+    # The tableau in the state's dtype, so no stage sum casts it again. Each
+    # stage state is y + (K[:s].T @ a[s]) * h formed in place, scipy's
+    # operations in scipy's order; h is never folded into the tableau.
+    tableau, b, e5, e3, d = (m.astype(dtype) for m in (A, B, E5, E3, D))
+    a = [tableau[s, :s] for s in range(C.size)]
+    c = C.tolist()
     K = np.empty((C.size, y.size), dtype=dtype)
+    KT = [K[:s].T for s in range(C.size + 1)]
+    stage, y_new, err = (np.empty_like(y) for _ in range(3))
+    F = np.empty((7, y.size), dtype=dtype)
+
+    def stages(first, stop, t, h, y):
+        """Stages first to stop - 1 of the step of h from (t, y)."""
+        for s in range(first, stop):
+            state = np.dot(KT[s], a[s], out=stage)
+            state *= h
+            state += y
+            K[s] = fun(t + c[s] * h, state)
+
+    K[0] = f = np.asarray(fun(t, y), dtype=dtype)
+    h_abs = _initial_step(fun, t, y, f, t_bound)
+    nfev = 2  # then 12 per step tried and 3 per interpolant
+    # |y| of the step's start comes from the last accepted step's |y_new|.
+    abs_y, abs_new, scale = np.abs(y), np.empty(y.size), np.empty(y.size)
     done = 0  # points of t_eval filled in
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs > MAX_STEP:
             h_abs = MAX_STEP
         elif h_abs < min_step:
@@ -249,16 +275,23 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
                 return Solution(nfev, False, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, N_STAGES):
-                K[s] = counted(t + C[s] * h, y + np.dot(K[:s].T, a[s, :s]) * h)
-            y_new = y + h * np.dot(K[:N_STAGES].T, b)
-            f_new = counted(t + h, y_new)
-            K[N_STAGES] = f_new
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            err5 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, e5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[:N_STAGES + 1].T, e3) / scale) ** 2
+            h_abs = abs(h)
+            stages(1, N_STAGES, t, h, y)
+            np.dot(KT[N_STAGES], b, out=y_new)
+            y_new *= h
+            y_new += y
+            K[N_STAGES] = fun(t + h, y_new)
+            nfev += N_STAGES
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= RTOL
+            scale += ATOL
+            np.dot(KT[N_STAGES + 1], e5, out=err)
+            err /= scale
+            err5 = _norm2(err)
+            np.dot(KT[N_STAGES + 1], e3, out=err)
+            err /= scale
+            err3 = _norm2(err)
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:
@@ -271,11 +304,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             rejected = True
         stop = np.searchsorted(t_eval, t_new, side="right")
         if stop > done:
-            F = _interpolant(counted, K, a, d, t, h, y, y_new, f_new)
+            stages(N_STAGES + 1, C.size, t, h, y)
+            nfev += C.size - N_STAGES - 1
+            _interpolant(F, K, d, h, y, y_new, stage)
             while done < stop:
                 rows = sink(done, stop)
                 x = ((t_eval[done : done + len(rows)] - t) / h)[:, None]
                 _evaluate(F, y, x, rows)
                 done += len(rows)
-        t, y, f = t_new, y_new, f_new
+        t, y, y_new, abs_y, abs_new = t_new, y_new, y, abs_new, abs_y
+        K[0] = K[N_STAGES]  # the next step's first stage: its starting slope
     return Solution(nfev, True, REACHED_END)

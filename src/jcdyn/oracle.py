@@ -138,15 +138,16 @@ def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
     # profile.rate unchecked.
     lambda_at(profile, np.array([0.0, t_end]))
 
-    def lam(t):
-        # Solver stages can round a hair outside [0, t_end]; clamp so
-        # tabulated profiles stay in range.
-        return float(profile.rate(min(max(float(t), 0.0), t_end)))
-
-    pair_coef = np.repeat(coef, 2).reshape(-1, 2)
+    pair_coef = np.repeat(coef, 2)
+    swap = np.arange(y0.size) ^ 1  # each row's (e, g) pair, swapped
 
     def rhs(t, y):
-        return (pair_coef * y.reshape(-1, 2)[:, ::-1]).ravel() * lam(t)
+        out = y.take(swap)
+        out *= pair_coef
+        # Solver stages can round a hair outside [0, t_end]; clamp so
+        # tabulated profiles stay in range.
+        out *= profile.rate(min(max(t, 0.0), t_end))
+        return out
 
     if rk4_step is None:
         sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=grid, sink=sink)

@@ -160,3 +160,27 @@ def test_rejects_what_it_does_not_implement():
         dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 0.2], sink=sink)
     with pytest.raises(ValueError):
         dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], t_eval=[0.5, 1.5], sink=sink)
+
+
+@pytest.mark.parametrize(
+    "y0", [[1.0, -0.5], [1.0 + 0.5j, -0.25j, 0.0]], ids=["real", "complex"]
+)
+@pytest.mark.parametrize(
+    "fun", [lambda t, y: y, lambda t, y: y[::-1][::-1]], ids=["argument", "view"]
+)
+def test_right_hand_side_may_return_its_argument(fun, y0):
+    # y' = y by handing back the solver's own stage buffer, or a view of
+    # it: the solver copies each stage out before it reuses the buffer.
+    t_eval = np.linspace(0.0, 1.5, 7)
+    out = np.empty((t_eval.size, len(y0)), dtype=np.asarray(y0).dtype)
+    ours = dop853.solve_ivp(
+        fun, (0.0, 1.5), y0, t_eval=t_eval, sink=lambda start, stop: out[start:stop]
+    )
+    theirs = scipy_solve_ivp(
+        fun, (0.0, 1.5), y0, method="DOP853", t_eval=t_eval,
+        rtol=dop853.RTOL, atol=dop853.ATOL, max_step=dop853.MAX_STEP,
+    )
+    assert ours.success and theirs.success
+    assert ours.nfev == theirs.nfev
+    assert np.array_equal(out.T, theirs.y)
+    np.testing.assert_allclose(out, np.outer(np.exp(t_eval), y0), rtol=1e-9)

@@ -217,3 +217,71 @@ def test_finiteness_check_reads_every_layout():
         amps[7, 3] = 0.0
     assert all_finite(amps) and all_finite(np.array([-1e308, 1e308]))  # no sum overflows
     assert all_finite(np.empty((0, 3))) and all_finite(np.empty(0, dtype=complex))
+
+
+def _must(message):
+    return InvalidInputError, f"x must be {message}"
+
+
+# (value, what as_numbers(value, "x", kind=k) gives for k = float, complex,
+# int): the returned number, whose type is checked too, or the error. A
+# list, not a dict: False == 0 would share a key.
+PYTHON_NUMBERS = [
+    (0, (0.0, 0j, 0)),
+    (-1, (-1.0, -1 + 0j, -1)),
+    (2**53 + 1, (2.0**53, complex(2.0**53), 2**53 + 1)),
+    (2**70, (2.0**70, complex(2.0**70), _must("an integer"))),
+    (10**400, (_must("finite"), _must("finite"), _must("finite"))),
+    (1.5, (1.5, 1.5 + 0j, _must("an integer"))),
+    (math.inf, (_must("finite"), _must("finite"), _must("an integer"))),
+    (math.nan, (_must("finite"), _must("finite"), _must("an integer"))),
+    (True, (_must("a real number"), _must("a number"), _must("an integer"))),
+    (False, (_must("a real number"), _must("a number"), _must("an integer"))),
+]
+
+
+@pytest.mark.parametrize("kind", [float, complex, int], ids=lambda k: k.__name__)
+@pytest.mark.parametrize(
+    "value, expected", PYTHON_NUMBERS, ids=[repr(v)[:12] for v, _ in PYTHON_NUMBERS]
+)
+def test_python_numbers_table(value, expected, kind):
+    from jcdyn.errors import as_numbers
+
+    expected = expected[[float, complex, int].index(kind)]
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as caught:
+            as_numbers(value, "x", kind=kind)
+        assert str(caught.value) == message
+    else:
+        got = as_numbers(value, "x", kind=kind)
+        assert type(got) is kind and got == expected
+
+
+def _layouts(amps):
+    """A 2-D complex array seen contiguous, strided, transposed, reversed
+    and as a 1-D row, each holding entry (7, 3)."""
+    return {
+        "contiguous": amps,
+        "fortran": np.asfortranarray(amps),
+        "transposed": amps.T,
+        "every_other_column": amps[:, 1::2],
+        "reversed": amps[::-1, ::-1],
+        "row": amps[7],
+        "entry": amps[7, 3, ...],
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_finiteness_check_finds_each_part_in_each_layout(bad, part):
+    from jcdyn.errors import all_finite
+
+    amps = np.zeros((40, 6), dtype=complex)
+    getattr(amps, part)[7, 3] = bad
+    for name, view in _layouts(amps).items():
+        assert not all_finite(view), name
+        assert all_finite(view) == bool(np.isfinite(view).all()), name
+    getattr(amps, part)[7, 3] = 1.0
+    for name, view in _layouts(amps).items():
+        assert all_finite(view), name

@@ -29,6 +29,7 @@ from jcdyn import (
     run,
     thermal_weights,
 )
+from jcdyn.oracle import oracle_rows
 
 CONST = ConstantCoupling(1.0)
 
@@ -531,3 +532,75 @@ def test_mixed_oracle_wide_thermal_field():
         )
     )
     assert table.max_oracle_deviation < 1e-9
+
+
+def _plain_rhs(blocks, profile, t_end):
+    """The oracle's right-hand side written plainly: each row's (e, g) pair
+    reversed through a strided view, times its coefficient, times the rate
+    at the clamped time as a Python float."""
+    pair_coef = np.repeat(-1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0), 2)
+
+    def rhs(t, y):
+        rate = float(profile.rate(min(max(float(t), 0.0), t_end)))
+        return (pair_coef.reshape(-1, 2) * y.reshape(-1, 2)[:, ::-1]).ravel() * rate
+
+    return rhs
+
+
+def _states_with_zeros(rng, size, count=8):
+    """Random complex states in which some entries, real parts and
+    imaginary parts are exact (signed) zeros."""
+    states = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+    states[:, ::5] = 0.0
+    states.real[:, 1::7] = 0.0
+    states.imag[:, 2::7] = -0.0
+    states[0] = 0.0
+    return states
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: type(p).__name__)
+def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
+    # The solver's right-hand side, as the solves fixture records it, gives
+    # the bits of the plain expression, at the times a solver can ask for:
+    # inside the span, on its ends and a hair outside them (clamped).
+    t_end = 1.0
+    rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
+    field = thermal_weights(0.8)
+    oracle_evolve_mixed(rho0, field, profile, np.linspace(0.0, t_end, 3))
+    ((args, _, _, _),) = solves
+    rhs, (_, span_end), y0 = args
+    assert span_end == t_end
+    _, _, _, blocks = oracle_rows(rho0, field)
+    plain = _plain_rhs(blocks, profile, t_end)
+    rng = np.random.default_rng(7)
+    times = [0.0, -0.0, 0.37, t_end, np.nextafter(0.0, -1.0), -1e-13,
+             np.nextafter(t_end, 2.0), t_end + 1e-13]
+    for y in _states_with_zeros(rng, y0.size):
+        for t in times + [np.float64(t) for t in times]:
+            new = rhs(t, y.copy())
+            assert new.dtype == complex and new.shape == y.shape
+            assert new.tobytes() == plain(t, y).tobytes(), (t, y)
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: type(p).__name__)
+def test_rk4_steps_the_plain_expression_bit_for_bit(profile):
+    # integrate_block's fixed-step RK4 shares the solver's right-hand side;
+    # a local RK4 over the plain expression gives the same bits.
+    n, initial, rk4_step = 2, np.array([0.6, 0.8j]), 0.07
+    grid = np.array([0.0, 0.25, 0.6, 1.0])
+    rhs = _plain_rhs([n], profile, grid[-1])
+    y = initial
+    expected = [y]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        m = max(1, math.ceil((t1 - t0) / rk4_step))
+        h = (t1 - t0) / m
+        for j in range(m):
+            t = t0 + j * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(y)
+    traj = integrate_block(n, initial, profile, grid, rk4_step=rk4_step)
+    assert traj.tobytes() == np.array(expected).tobytes()
