@@ -3,8 +3,9 @@ whose coupling strength is modulated in time.
 
 On resonance the joint evolution is block-diagonal over photon sectors and
 depends on the modulation only through its accumulated area, so population
-inversion, entanglement entropy, and Bloch trajectories all have closed
-forms. An independent ODE integrator is bundled for validation.
+inversion, the atom's von Neumann entropy (the atom-field entanglement of a
+pure joint state) and Bloch trajectories all have closed forms. An
+independent ODE integrator is bundled for validation.
 """
 
 from .coupling import (

@@ -111,9 +111,8 @@ class JointPureState:
 
     def norm(self):
         """Total occupation, 1 up to the truncated tail of the field."""
-        total = np.sum(np.abs(self.amps_e) ** 2, axis=-1) + np.sum(
-            np.abs(self.amps_g) ** 2, axis=-1
-        )
+        e, g = np.abs(self.amps_e) ** 2, np.abs(self.amps_g) ** 2
+        total = np.sum(e, axis=-1) + np.sum(g, axis=-1)
         return float(total) if total.ndim == 0 else total
 
 
@@ -220,11 +219,6 @@ def _rotate_blocks(e0, g0, area):
     return e, g
 
 
-def _cmatvec(m, v):
-    """m @ v for a real matrix and a complex vector, without casting m."""
-    return m @ v.real + 1j * (m @ v.imag)
-
-
 def _cos_sin(theta):
     """(cos theta, sin theta) from one tan(theta/2), written into theta's
     buffer and one more: c = 2/(1+t^2) - 1, s = 2t/(1+t^2).
@@ -242,49 +236,56 @@ def _cos_sin(theta):
     return c, s
 
 
+# Block trig products, lo for block n-1 and hi for block n; each is 0 at area 0.
+_PRODUCTS = {
+    "s_hi^2": lambda c_lo, c_hi, s_lo, s_hi: s_hi * s_hi,
+    "1-c_lo*c_hi": lambda c_lo, c_hi, s_lo, s_hi: 1.0 - c_lo * c_hi,
+    "c_hi*s_hi": lambda c_lo, c_hi, s_lo, s_hi: c_hi * s_hi,
+    "c_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi: c_hi * s_lo,
+    "s_hi*c_lo": lambda c_lo, c_hi, s_lo, s_hi: s_hi * c_lo,
+    "s_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi: s_hi * s_lo,
+}
+
+
 def _reduced_sums(rho, field, area):
     """Unconditioned (ee, gg, eg) columns of the atom for rho (x) field.
 
     Block n = (|e,n>, |g,n+1>) turns by theta_n = area * sqrt(n+1), the dark
-    |g,0> by theta_-1 = 0. The field enters through its weights p_n and, if
-    pure, f_n = C_n conj(C_(n-1)) and h_n = C_(n+1) conj(C_(n-1)). A term
-    whose atomic factor (rho_eg, rho_ee or rho_gg) is exactly 0 is skipped.
-    ``area`` is 1-D; results have one entry per area. The areas are taken
-    in row blocks of at most ``_BLOCK_ELEMENTS`` (area, level) entries, so
-    no temporary grows with the number of areas.
+    |g,0> by theta_-1 = 0. Each column is rho * total plus scale * (product
+    @ weight) for each of its terms, eg's real and imaginary parts apart. The
+    weights come from p_n and, for a pure field, f_n = C_n conj(C_(n-1)) and
+    h_n = C_(n+1) conj(C_(n-1)); a term whose scale or weight is all 0 is
+    dropped. ``area`` is 1-D, taken in row blocks of ``_BLOCK_ELEMENTS``.
     """
     p, total = field.weights, field.weights.sum()
-    # Corrections to the sums at area 0, which are then exactly rho * total.
-    d = rho.rho_gg * np.append(p[1:], 0.0) - rho.rho_ee * p  # per block, g minus e
+    ee_0, gg_0, eg_0 = rho.rho_ee, rho.rho_gg, rho.rho_eg
+    ee, eg = np.full(area.size, ee_0 * total), np.full(area.size, eg_0 * total)
+    d = gg_0 * np.append(p[1:], 0.0) - ee_0 * p  # per block, g minus e
+    terms = {
+        "s_hi^2": [(ee, 1.0, d)],
+        "1-c_lo*c_hi": [(eg.real, -eg_0.real, p), (eg.imag, -eg_0.imag, p)],
+    }
     if field.amplitudes is not None:
         a = np.concatenate(([0.0], field.amplitudes, [0.0]))
         f, f_next = a[1:-1] * a[:-2].conj(), a[2:] * a[1:-1].conj()
-        # Each matvec's field vector times its atomic factor.
-        v_ee = (rho.rho_eg * f_next.conj()).imag
-        v_e, v_g = 1j * rho.rho_ee * f, 1j * rho.rho_gg * f_next
-        h = np.conj(rho.rho_eg) * a[2:] * a[:-2].conj()
-    ee = np.full(area.size, rho.rho_ee * total)
-    eg = np.zeros(area.size, dtype=complex)
+        h = np.conj(eg_0) * a[2:] * a[:-2].conj()
+        terms |= {
+            "c_hi*s_hi": [(ee, -2.0, (eg_0 * f_next.conj()).imag)],
+            "c_hi*s_lo": [(eg.real, -ee_0, f.imag), (eg.imag, ee_0, f.real)],
+            "s_hi*c_lo": [(eg.real, gg_0, f_next.imag), (eg.imag, -gg_0, f_next.real)],
+            "s_hi*s_lo": [(eg.real, 1.0, h.real), (eg.imag, 1.0, h.imag)],
+        }
+    kept = [(k, [u for u in us if u[1] != 0 and u[2].any()]) for k, us in terms.items()]
+    kept = [(kind, uses) for kind, uses in kept if uses]
     rows = max(1, _BLOCK_ELEMENTS // (p.size + 1))
     for i in range(0, area.size, rows):
         c, s = _cos_sin(_angles(area[i : i + rows], 0.0, p.size + 1))
-        c_lo, c_hi = c[:, :-1], c[:, 1:]  # cos theta_(n-1), cos theta_n
-        s_lo, s_hi = s[:, :-1], s[:, 1:]
-        ee_i, eg_i = ee[i : i + rows], eg[i : i + rows]  # views into the columns
-        ee_i += (s_hi * s_hi) @ d
-        if rho.rho_eg != 0:
-            eg_i += rho.rho_eg * (total - (1.0 - c_lo * c_hi) @ p)
-        if field.amplitudes is None:
-            continue
-        if rho.rho_eg != 0:
-            ee_i -= 2.0 * ((c_hi * s_hi) @ v_ee)
-        if rho.rho_ee != 0:
-            eg_i += _cmatvec(c_hi * s_lo, v_e)
-        if rho.rho_gg != 0:
-            eg_i -= _cmatvec(s_hi * c_lo, v_g)
-        if rho.rho_eg != 0:
-            eg_i += _cmatvec(s_hi * s_lo, h)
-    return ee, (rho.rho_ee + rho.rho_gg) * total - ee, eg
+        for kind, uses in kept:
+            m = _PRODUCTS[kind](c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:])
+            for column, scale, weight in uses:
+                column[i : i + rows] += scale * (m @ weight)
+            del m  # at most one product is alive at a time
+    return ee, (ee_0 + gg_0) * total - ee, eg
 
 
 def evolve_pure(
@@ -330,7 +331,6 @@ def evolve_mixed(
 def excitation_expectation(state: JointPureState):
     """Mean of the conserved excitation count n + sigma_z / 2."""
     n = np.arange(state.n_levels)
-    mean = np.abs(state.amps_e) ** 2 @ (n + 0.5) + np.abs(state.amps_g) ** 2 @ (
-        n - 0.5
-    )
+    e, g = np.abs(state.amps_e) ** 2, np.abs(state.amps_g) ** 2
+    mean = e @ (n + 0.5) + g @ (n - 0.5)
     return float(mean) if mean.ndim == 0 else mean

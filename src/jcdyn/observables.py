@@ -1,10 +1,10 @@
 """Measured quantities derived from evolved states.
 
 Everything here reduces to the 2x2 atomic density matrix: inversion and the
-Bloch vector come straight from its entries, and the entanglement entropy
-needs only its eigenvalues because the joint state's Schmidt rank is at
-most 2. Each function takes a single state or a batch (see dynamics) and
-returns a number or a column, computed by the same array expressions.
+Bloch vector come from its entries, the atom's von Neumann entropy from its
+eigenvalues; that entropy measures atom-field entanglement only when the
+joint state is pure. Each function takes one state or a batch (see dynamics)
+and returns a number or a column from the same array expressions.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def _entropy_term(mu):
 
 
 def von_neumann_entropy(rho: AtomDensityMatrix):
-    """Entanglement entropy in bits, -sum mu log2 mu with 0 log 0 = 0."""
+    """The atom's von Neumann entropy in bits, -sum mu log2 mu, 0 log 0 = 0:
+    the atom-field entanglement only when the joint state is pure."""
     data = atom_eigenvalues(rho)
     s = 0.0 - _entropy_term(data.mu_plus) - _entropy_term(data.mu_minus)
     return float(s) if s.ndim == 0 else s

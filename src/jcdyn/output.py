@@ -25,6 +25,7 @@ from .errors import InvalidInputError
 _BLOCK_VALUES = 2**13
 
 _WIDTH, _HEIGHT = 720, 480  # SVG chart size in pixels
+_TICKS = 5  # ladder steps per axis that _nice_ticks aims for
 
 _PALETTE = (
     "#1f77b4",
@@ -129,10 +130,10 @@ def emit_csv(table, path) -> None:
     _write_replacing(path, _csv_pieces(table))
 
 
-def _nice_ticks(lo, hi, target=5):
+def _nice_ticks(lo, hi):
     """Round tick positions covering [lo, hi] on a 1-2-5 ladder.
 
-    Returns at most target + 2 distinct finite ticks. A span whose ladder
+    Returns at most _TICKS + 2 distinct finite ticks. A span whose ladder
     step does not fit between the smallest normal float and a tenth of the
     largest gets its two ends.
     """
@@ -140,7 +141,7 @@ def _nice_ticks(lo, hi, target=5):
         return [0.0]
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / _TICKS
     if not sys.float_info.min <= raw <= sys.float_info.max / 10:
         return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -148,15 +149,11 @@ def _nice_ticks(lo, hi, target=5):
         step = mult * mag
         if raw <= step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
+    ticks, value = [], math.ceil(lo / step) * step
     # Past the largest float the sum turns inf, and where step is below half
     # an ulp of value it stops moving; the length cap ends both, and a tick
     # that did not move is kept once.
-    while (
-        value <= hi + 0.5 * step and math.isfinite(value) and len(ticks) < target + 2
-    ):
+    while value <= hi + 0.5 * step and math.isfinite(value) and len(ticks) < _TICKS + 2:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return list(dict.fromkeys(ticks))

@@ -207,6 +207,28 @@ def test_kernel_memory_stays_bounded_for_a_wide_thermal_field(layer):
     assert peak < 32 * 2**20, peak
 
 
+@pytest.mark.parametrize(
+    "build, bound_mib",
+    ((lambda: thermal_weights(20000.0), 24), (lambda: coherent_amplitudes(300.0), 16)),
+    ids=("thermal", "coherent"),
+)
+def test_kernel_weights_cost_no_memory_per_term(build, bound_mib):
+    # 552,635 thermal levels (4.2 MiB a real vector) and 92,119 coherent
+    # ones, at 3 times: the kernel holds its weights as real vectors and
+    # views, one product at a time. A dense complex table of its terms and
+    # columns would take about 135 and 22 MiB.
+    field = build()
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.plus_x())
+    tracemalloc.start()
+    try:
+        rho = evolve_mixed(rho0, field, ConstantCoupling(1.0), np.linspace(0.0, 2.0, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.rho_ee.shape == (3,)
+    assert peak < bound_mib * 2**20, peak
+
+
 def raised(factory):
     with pytest.raises(Exception) as info:
         factory()

@@ -106,6 +106,44 @@ def start_cli(args, stdout, unbuffered):
     )
 
 
+# A complex custom atom on a complex alpha forms all six products of the
+# reduced-atom kernel; the sweep's widest case holds 2777 levels, several
+# row blocks of them.
+BLAS_DOCS = (
+    {
+        "atom": {"custom": {"c_e": [0.6, 0.3], "c_g": [0.2, -0.714142842854285]}},
+        "field": {"coherent": [6.0, 8.0]},
+        "profile": {"sech": {"lambda0": 1.1, "zeta2": 0.2}},
+        "time": {"t_end": 30.0, "steps": 1001},
+    },
+    {
+        "atom": "plus_x",
+        "field": {"thermal": 1.0},
+        "profile": {"sinusoidal": {"lambda0": 1, "zeta3": 0.1, "p": 1}},
+        "time": {"t_end": 100.0, "steps": 1001},
+        "sweep": {"parameter": "mean_n", "values": [0.5, 5.0, 100.0]},
+    },
+)
+
+
+@pytest.mark.parametrize("doc", BLAS_DOCS, ids=["complex-coherent", "thermal-sweep"])
+def test_run_stdout_is_the_same_on_one_and_two_blas_threads(tmp_path, doc):
+    # The closed-form columns do not depend on how BLAS splits its sums.
+    path = write_scenario(tmp_path, doc)
+    src = str(Path(cli.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jcdyn.cli", "run", str(path)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") > 1001 and outputs[0] == outputs[1]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "doc, unbuffered",

@@ -394,6 +394,53 @@ def test_cos_sin_stays_finite_at_widest_angle():
     assert np.all(np.abs(c * c + s * s - 1.0) <= 1e-15)
 
 
+CUSTOM_ATOM = {"custom": {"c_e": [0.6, 0.3], "c_g": [0.2, -0.7141428428542850]}}
+
+# The products whose weights come from a pure field's coherences f and h.
+COHERENCE_PRODUCTS = ("c_hi*s_hi", "c_hi*s_lo", "s_hi*c_lo", "s_hi*s_lo")
+
+
+def kernel_counts(monkeypatch, atom, field):
+    """{product: [times formed, matvecs made]} over one run of a 51-time
+    case, which fits one row block, so the counts are per row block."""
+    counts, calls = {}, []
+    reduced_sums = dynamics._reduced_sums
+
+    class Counted:
+        def __init__(self, kind, m):
+            self.kind, self.m = kind, m
+
+        def __matmul__(self, weight):
+            counts[self.kind][1] += 1
+            return self.m @ weight
+
+    def counted(kind, product):
+        def form(*factors):
+            counts.setdefault(kind, [0, 0])[0] += 1
+            return Counted(kind, product(*factors))
+
+        return form
+
+    def counted_sums(*args):
+        calls.append(args)
+        return reduced_sums(*args)
+
+    monkeypatch.setattr(dynamics, "_reduced_sums", counted_sums)
+    for kind, product in dynamics._PRODUCTS.items():
+        monkeypatch.setitem(dynamics._PRODUCTS, kind, counted(kind, product))
+    scenario = parse_scenario(
+        {
+            "atom": atom,
+            "field": field,
+            "profile": {"constant": {"lambda0": 1}},
+            "time": {"t_end": 10, "steps": 51},
+        }
+    )
+    run(scenario)
+    assert len(calls) == 1
+    return counts
+
+
 @pytest.mark.parametrize(
     "atom, field, per_block",
     (
@@ -406,32 +453,39 @@ def test_cos_sin_stays_finite_at_widest_angle():
     ),
 )
 def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_block):
-    # Each complex matvec carries one atomic factor (rho_ee, rho_gg or
-    # rho_eg); a factor that is exactly 0 costs no (T, N) work. The 51 times
-    # fit one row block.
-    counts = {"calls": 0, "cmatvec": 0}
-    reduced_sums, cmatvec = dynamics._reduced_sums, dynamics._cmatvec
+    # A coherence term whose atomic factor (rho_ee, rho_gg or rho_eg) is
+    # exactly 0 costs no (T, N) work. On a real alpha the imaginary parts of
+    # f and h vanish too, so each coherence product formed makes one matvec.
+    counts = kernel_counts(monkeypatch, atom, field)
+    coherence = [counts[k] for k in COHERENCE_PRODUCTS if k in counts]
+    assert len(coherence) == per_block
+    assert all(c == [1, 1] for c in coherence)
 
-    def counted_sums(*args):
-        counts["calls"] += 1
-        return reduced_sums(*args)
 
-    def counted_cmatvec(*args):
-        counts["cmatvec"] += 1
-        return cmatvec(*args)
-
-    monkeypatch.setattr(dynamics, "_reduced_sums", counted_sums)
-    monkeypatch.setattr(dynamics, "_cmatvec", counted_cmatvec)
-    scenario = parse_scenario(
-        {
-            "atom": atom,
-            "field": field,
-            "profile": {"constant": {"lambda0": 1}},
-            "time": {"t_end": 10, "steps": 51},
-        }
-    )
-    run(scenario)
-    assert counts == {"calls": 1, "cmatvec": per_block}
+@pytest.mark.parametrize(
+    "atom, field, products, matvecs",
+    (
+        # s_hi^2 on d; c_hi*s_lo on f.real (f.imag is 0 on a real alpha).
+        ("excited", {"coherent": 2}, 2, 2),
+        # Also 1-c_lo*c_hi on p (rho_eg real), s_hi*c_lo on f_next.real and
+        # s_hi*s_lo on h.real; c_hi*s_hi's Im(rho_eg conj f_next) is 0.
+        ("plus_x", {"coherent": 2}, 5, 5),
+        ("plus_x", {"thermal": 2}, 2, 2),
+        # A complex alpha: every product, each coherence one on both parts.
+        ("plus_x", {"coherent": [1.2, 0.9]}, 6, 9),
+        # A complex rho_eg too: 1-c_lo*c_hi on both parts.
+        (CUSTOM_ATOM, {"coherent": [1.2, 0.9]}, 6, 10),
+        (CUSTOM_ATOM, {"thermal": 2}, 2, 3),
+    ),
+)
+def test_reduced_sums_form_each_product_once(
+    monkeypatch, atom, field, products, matvecs
+):
+    # Each product is formed at most once per row block; a term is one
+    # matvec, dropped when its scale or weight is all 0.
+    counts = kernel_counts(monkeypatch, atom, field)
+    assert all(formed == 1 for formed, _ in counts.values())
+    assert (len(counts), sum(m for _, m in counts.values())) == (products, matvecs)
 
 
 def test_excited_atom_on_mixed_field_has_no_coherence():
