@@ -5,12 +5,19 @@ general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` at its fixed
 settings (or, in ``integrate_block``, fixed-step RK4), sampling lambda(t)
 pointwise at every stage.
 The integrator never sees the coupling area, so agreement with the
-closed-form path validates the area-based solution end to end. All blocks
-of a run are stacked into one flat state vector so the solver is called
-once per trajectory, and its samples come back in time blocks through
-one reused buffer. ``oracle_evolve_mixed`` takes any atom on any field,
-as ``evolve_mixed`` does, and returns the reduced atom, summed in time
-blocks as the solver hands the samples over, so that it holds the solver's
+closed-form path validates the area-based solution end to end. Block n's
+amplitudes (c_e, c_g) = (x_e + i y_e, x_g + i y_g) obey
+i (d/dt)(c_e, c_g) = lambda(t) k (c_g, c_e), k = sqrt(n+1), which splits
+into two real pairs (p, q), (x_e, y_g) and (x_g, y_e), each obeying
+p' = k lambda q, q' = -k lambda p. A pair that starts at (0, 0) stays
+there, so only the pairs that start nonzero are integrated: one per block
+for a real atom eigenvector on a photon-diagonal field, two for a complex
+one. All the pairs of a run are stacked into one flat real state vector so
+the solver is called once per trajectory, and its samples come back in
+time blocks, scattered back into complex block rows, through reused
+buffers. ``oracle_evolve_mixed`` takes any atom on any field, as
+``evolve_mixed`` does, and returns the reduced atom, summed in time blocks
+as the solver hands the samples over, so that it holds the solver's
 working set and one time block, whatever the number of grid times.
 ``oracle_evolve_pure`` returns the joint state of a pure atom on a pure
 field, copying each time block into it. Both evolve joint pure states
@@ -40,14 +47,16 @@ from .fields import PhotonDistribution
 _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex values one solve's stage vectors may hold: DOP853 keeps
-# _STAGES vectors of 2 values per integrated row, 256 MiB at 2^24 values.
+# _STAGES vectors of the live real pairs of each integrated row, at most
+# the bytes of its 2 complex values, so a row counts as 2; 256 MiB at 2^24.
 # The samples do not count: they arrive in time blocks, which the mixed
 # oracle reduces and the other entries copy into their return value.
 MAX_ORACLE_SAMPLES = 2**24
 _STAGES = 16  # jcdyn.dop853.C.size, written out so the budget loads no solver
 
 # Most steps one solve may take, counted before the first: DOP853 takes at
-# least one per dop853.MAX_STEP of the span, RK4 exactly its steps.
+# least one per dop853.MAX_STEP of the span and one per two radians of the
+# top block's phase, RK4 exactly its steps.
 MAX_ORACLE_STEPS = 2**20
 
 
@@ -60,12 +69,39 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _check_grid(profile, t_grid, rk4_step=None):
-    """A grid is checked as a time is (``_as_times``), and must be a
-    non-empty 1-D array that starts at 0 and rises strictly. A solve over
-    it of more than MAX_ORACLE_STEPS steps is refused before the first:
-    DOP853 takes at least one per dop853.MAX_STEP of the span, RK4 with
-    ``rk4_step`` exactly ceil(interval / rk4_step) per grid interval."""
+def _live_pairs(rows):
+    """Which real pairs of the complex block rows ``rows`` (B, 2) start
+    nonzero, as a (B, 2) mask.
+
+    Row (c_e, c_g) = (x_e + i y_e, x_g + i y_g) holds pair 0, (x_e, y_g),
+    and pair 1, (x_g, y_e). A pair that starts at (0, 0) stays there, so
+    only the live ones are integrated; a solve of more than
+    MAX_ORACLE_SAMPLES / (2 _STAGES) rows with a live pair is refused.
+    """
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    count = _STAGES * 2 * np.count_nonzero(np.any(live, axis=1))
+    if count > MAX_ORACLE_SAMPLES:
+        raise InvalidInputError(
+            f"oracle needs {count} complex stage values, over the budget of "
+            f"{MAX_ORACLE_SAMPLES}"
+        )
+    return live
+
+
+def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
+    """Check a solve of the complex block rows ``rows`` (B, 2), of block
+    numbers ``blocks``, over ``t_grid`` before its first step; returns the
+    grid.
+
+    The grid is checked as a time is (``_as_times``), and must be a
+    non-empty 1-D array that starts at 0 and rises strictly. The stages
+    must fit MAX_ORACLE_SAMPLES (``_live_pairs``), and the solve may take
+    at most MAX_ORACLE_STEPS steps. RK4 with ``rk4_step`` takes exactly
+    ceil(interval / rk4_step) per grid interval. DOP853 takes at least one
+    per dop853.MAX_STEP of the span, and at least one per two radians of
+    sqrt(n + 1) * integral |lambda| for the highest block n with a live
+    pair, the integral a trapezoid of ``lambda_at`` on the grid.
+    """
     grid = _as_times(profile, t_grid)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("t_grid must be a non-empty 1-D array")
@@ -74,10 +110,16 @@ def _check_grid(profile, t_grid, rk4_step=None):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
+    live = _live_pairs(rows)
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
-        steps = np.ceil(grid[-1] / MAX_STEP)
+        top = np.max(blocks[np.any(live, axis=1)], initial=0)
+        rate = np.abs(lambda_at(profile, grid))
+        with np.errstate(over="ignore"):
+            phase = math.sqrt(top + 1.0) * np.sum((rate[1:] + rate[:-1]) * gaps) / 2
+        # A rate that is NaN somewhere is left to fail in the solver.
+        steps = np.fmax(np.ceil(grid[-1] / MAX_STEP), np.ceil(0.5 * phase))
     else:
         with np.errstate(over="ignore"):
             steps = np.sum(np.maximum(1.0, np.ceil(gaps / rk4_step)))
@@ -88,30 +130,40 @@ def _check_grid(profile, t_grid, rk4_step=None):
     return grid
 
 
-def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
-    """Evolve stacked 2-level blocks, handing their samples to ``consume``.
+def _integrate_stack(blocks, rows, profile, grid, consume, rk4_step=None):
+    """Evolve stacked block rows, handing their samples to ``consume``.
 
-    Row i holds the (e, g) pair of block ``blocks[i]``, obeying
-    i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e), on a ``grid``
-    already checked by ``_check_grid`` with the same ``rk4_step``. DOP853
-    steps it, or with ``rk4_step`` set, fixed-step RK4 subdividing each
-    grid interval evenly into steps of at most that size. Each run of grid
-    times start..stop-1 that fills a block of _BLOCK_ELEMENTS entries (one
-    time at least), and the rest at the end, goes to
-    ``consume(start, samples)`` as (stop - start, B, 2) complex samples as
-    soon as it is complete, and the block's buffer is then reused. Samples
-    are checked finite block by block, before ``consume`` sees them.
+    Row i of the complex (B, 2) ``rows`` holds the (e, g) pair of block
+    ``blocks[i]``, obeying i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e),
+    on a ``grid`` already checked by ``_check_solve`` with the same
+    ``rk4_step``. The rows' live real pairs (``_live_pairs``) are stepped
+    as one float vector, by DOP853, or with ``rk4_step`` set, by
+    fixed-step RK4 subdividing each grid interval evenly into steps of at
+    most that size. Each run of grid times start..stop-1 that fills a
+    block of _BLOCK_ELEMENTS entries (one time at least; a time takes one
+    per live pair and two per row), and the rest at the end, is checked
+    finite, scattered back into (stop - start, B, 2) complex samples, whose
+    dead pairs stay 0, and handed to ``consume(start, samples)`` as soon as
+    it is complete; its buffers are then reused.
     """
-    y0 = np.asarray(y0, dtype=complex).reshape(-1)
-    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, y0.size)))
-    buf = np.empty((size, y0.size), dtype=complex)
+    i, j = np.nonzero(_live_pairs(rows))
+    y0 = np.stack([rows.real[i, j], rows.imag[i, 1 - j]], axis=1).ravel()
+    coef = (np.sqrt(blocks[i] + 1.0)[:, None] * [1.0, -1.0]).ravel()
+    # Where each float of y0 goes in a time's (B, 2) complex samples viewed
+    # as 4 B floats: pair (i, j) is (Re rows[i, j], Im rows[i, 1 - j]).
+    places = np.stack([4 * i + 2 * j, 4 * i + 3 - 2 * j], axis=1).ravel()
+    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, 2 * len(rows) + i.size)))
+    buf = np.empty((size, y0.size))
+    out = np.zeros((size, len(rows), 2), dtype=complex)
+    floats = out.view(float).reshape(size, -1)
     first = 0  # grid index of buf[0]
 
     def flush(stop):
-        block = buf[: stop - first].reshape(stop - first, -1, 2)
-        if not all_finite(block):
+        samples = buf[: stop - first]
+        if not all_finite(samples):
             raise NumericalFailureError("reference integrator produced non-finite values")
-        consume(first, block)
+        floats[: stop - first, places] = samples
+        consume(first, out[: stop - first])
 
     def sink(start, stop):
         nonlocal first
@@ -125,28 +177,26 @@ def _integrate_stack(blocks, y0, profile, grid, consume, rk4_step=None):
         for start in range(0, grid.size, size):
             sink(start, grid.size)[:] = y0
     else:
-        _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink)
+        _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink)
     flush(grid.size)
 
 
-def _integrate_nonzero(blocks, y0, profile, grid, rk4_step, sink):
-    """Step ``_integrate_stack``'s blocks over a grid that ends after 0,
+def _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink):
+    """Step ``_integrate_stack``'s pairs (p, q)' = lambda(t) (k q, -k p),
+    ``coef`` holding (k, -k) for each, over a grid that ends after 0,
     writing the samples through ``sink`` as ``dop853.solve_ivp`` does."""
     t_end = float(grid[-1])
-    coef = -1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0)
-    # Validate the profile on the whole span once; each stage then calls
-    # profile.rate unchecked.
-    lambda_at(profile, np.array([0.0, t_end]))
-
-    pair_coef = np.repeat(coef, 2)
-    swap = np.arange(y0.size) ^ 1  # each row's (e, g) pair, swapped
+    swap = np.arange(y0.size) ^ 1  # each pair (p, q) as (q, p)
+    rate = profile.rate  # unchecked: _check_solve checked the profile on the grid
 
     def rhs(t, y):
         out = y.take(swap)
-        out *= pair_coef
+        out *= coef
         # Solver stages can round a hair outside [0, t_end]; clamp so
         # tabulated profiles stay in range.
-        out *= profile.rate(min(max(t, 0.0), t_end))
+        if not 0.0 <= t <= t_end:
+            t = min(max(t, 0.0), t_end)
+        out *= rate(t)
         return out
 
     if rk4_step is None:
@@ -185,34 +235,29 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     pair = as_numbers(initial, "initial", 1, complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
-    grid = _check_grid(profile, t_grid, rk4_step)
+    blocks, rows = np.array([n]), pair[None]
+    grid = _check_solve(profile, t_grid, blocks, rows, rk4_step)
     out = np.empty((grid.size, 2), dtype=complex)
 
     def consume(start, samples):
         out[start : start + len(samples)] = samples[:, 0]
 
-    _integrate_stack([n], pair, profile, grid, consume, rk4_step)
+    _integrate_stack(blocks, rows, profile, grid, consume, rk4_step)
     return out
 
 
-def _nonzero_blocks(e0, g0):
-    """The blocks (s[r], n[r]) of S joint pure states that start nonzero.
+def _block_rows(e0, g0):
+    """The block rows of S joint pure states, as (blocks, rows).
 
     Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
-    ``_initial_amplitudes`` lays it out: block n pairs e0[s, n] with
-    g0[s, n+1], and the dark amplitude g0[s, 0] stays put. A block that
-    starts at zero stays zero, so only these blocks are integrated, as the
-    rows of one solve; one whose stages would pass MAX_ORACLE_SAMPLES is
-    refused.
+    ``_initial_amplitudes`` lays it out. Row s (n_max + 1) + n of the
+    complex (S (n_max + 1), 2) ``rows`` is block n of state s, which pairs
+    e0[s, n] with g0[s, n+1], and ``blocks`` holds its n. The dark
+    amplitudes g0[:, 0] stay put and are in no block.
     """
-    s, n = np.nonzero((e0[:, :-1] != 0) | (g0[:, 1:] != 0))
-    count = _STAGES * 2 * s.size
-    if count > MAX_ORACLE_SAMPLES:
-        raise InvalidInputError(
-            f"oracle needs {count} complex stage values, over the budget of "
-            f"{MAX_ORACLE_SAMPLES}"
-        )
-    return s, n
+    rows = np.stack([e0[:, :-1], g0[:, 1:]], axis=-1)
+    blocks = np.broadcast_to(np.arange(rows.shape[1]), rows.shape[:2])
+    return blocks.ravel(), rows.reshape(-1, 2)
 
 
 def oracle_evolve_pure(
@@ -224,40 +269,41 @@ def oracle_evolve_pure(
     """
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
-    grid = _check_grid(profile, t_grid)
     e0, g0 = _initial_amplitudes(atom, field)
-    _, n = _nonzero_blocks(e0[None], g0[None])
+    blocks, rows = _block_rows(e0[None], g0[None])
+    grid = _check_solve(profile, t_grid, blocks, rows)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
 
     def consume(start, samples):
         stop = start + len(samples)
-        e[start:stop, n] = samples[:, :, 0]
-        g[start:stop, n + 1] = samples[:, :, 1]
+        e[start:stop, :-1] = samples[:, :, 0]
+        g[start:stop, 1:] = samples[:, :, 1]
 
-    _integrate_stack(n, np.stack([e0[n], g0[n + 1]], axis=1), profile, grid, consume)
+    _integrate_stack(blocks, rows, profile, grid, consume)
     return JointPureState(e, g, grid)
 
 
 def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     """The joint pure states ``oracle_evolve_mixed`` integrates for an atom
-    on a field, as (e0, g0, s, n) of ``_nonzero_blocks``.
+    on a field, as (blocks, rows, dark): their block rows as
+    ``_block_rows`` returns them, and their dark |g,0> amplitudes.
 
     Diagonalizes the atomic state into members w_k phi_k. On a pure field
-    member k is one joint pure state sqrt(w_k) phi_k (x) C, row k. On a
+    member k is one joint pure state sqrt(w_k) phi_k (x) C, state k. On a
     photon-diagonal field member k splits into two: its |e> part,
-    sqrt(w_k p_n) phi_k,e on |e,n>, row 2k, and its |g> part,
-    sqrt(w_k p_n) phi_k,g on |g,n>, row 2k + 1. Raises InvalidInputError
-    when the solve would pass the oracle's budget, so a caller can refuse a
-    case before anything runs.
+    sqrt(w_k p_n) phi_k,e on |e,n>, state 2k, and its |g> part,
+    sqrt(w_k p_n) phi_k,g on |g,n>, state 2k + 1. ``_check_solve`` on the
+    rows checks the solve's budgets, so a caller can refuse a case before
+    anything runs.
     """
     vals, vecs = np.linalg.eigh(atom.as_matrix())
     if vals[0] < -1e-10:
         raise InvalidInputError("atom state has a negative eigenvalue")
     keep = vals > _EIGENWEIGHT_FLOOR
     pure = field.amplitudes is not None
-    stride = 1 if pure else 2  # rows per member: one joint state, or e and g parts
+    stride = 1 if pure else 2  # states per member: one joint state, or e and g
     amp = np.sqrt(vals[keep])[:, None] * (
         field.amplitudes if pure else np.sqrt(field.weights)
     )
@@ -265,7 +311,7 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     g0 = e0.copy()
     e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
     g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
-    return (e0, g0) + _nonzero_blocks(e0, g0)
+    return _block_rows(e0, g0) + (g0[:, 0],)
 
 
 def oracle_evolve_mixed(
@@ -283,22 +329,14 @@ def oracle_evolve_mixed(
     building the joint states or keeping the samples. Returns the batch form
     of AtomDensityMatrix, one row per grid time.
     """
-    grid = _check_grid(profile, t_grid)
-    e0, g0, s, n = oracle_rows(atom, field)
+    blocks, rows, dark = oracle_rows(atom, field)
+    grid = _check_solve(profile, t_grid, blocks, rows)
     stride = 1 if field.amplitudes is not None else 2
-    # rho_eg pairs row (s, n) of an |e> part, s % stride == 0, with row
-    # (s + stride - 1, n - 1) of its |g> part, which holds g[n]; for n = 0 the
-    # column index -1 finds no row and the dark g0[s + stride - 1, 0] stands in.
-    row = np.full(e0.shape, -1)
-    row[s, n] = np.arange(s.size)
-    e_rows = np.flatnonzero(s % stride == 0)
-    g_of = s[e_rows] + stride - 1
-    partner = row[g_of, n[e_rows] - 1]
-    paired = partner >= 0
-    r_e, r_g = e_rows[paired], partner[paired]
-    at_zero = n[e_rows] == 0
-    r_dark, g_dark = e_rows[at_zero], g0[g_of[at_zero], 0].conj()
-    dark_gg = np.sum(np.abs(g0[:, 0]) ** 2)
+    # rho_eg pairs e_n of state s, s % stride == 0, with g_n of state
+    # s + stride - 1: block n's e with block n - 1's g, and for n = 0 the
+    # dark g_0.
+    g_dark = dark[stride - 1 :: stride].conj()
+    dark_gg = np.sum(np.abs(dark) ** 2)
     ee = np.empty(grid.size)
     gg = np.empty(grid.size)
     eg = np.empty(grid.size, dtype=complex)
@@ -308,11 +346,13 @@ def oracle_evolve_mixed(
         sq = np.sum(np.abs(block) ** 2, axis=1)
         ee[start:stop] = sq[:, 0]
         gg[start:stop] = sq[:, 1] + dark_gg
-        eg[start:stop] = np.sum(block[:, r_e, 0] * block[:, r_g, 1].conj(), axis=1)
-        eg[start:stop] += block[:, r_dark, 0] @ g_dark
+        states = block.reshape(len(block), dark.size, -1, 2)
+        e = states[:, 0::stride, :, 0]
+        g = states[:, stride - 1 :: stride, :-1, 1]
+        eg[start:stop] = np.sum(e[:, :, 1:] * g.conj(), axis=(1, 2))
+        eg[start:stop] += e[:, :, 0] @ g_dark
 
-    y0 = np.stack([e0[s, n], g0[s, n + 1]], axis=1)
-    _integrate_stack(n, y0, profile, grid, reduce)
+    _integrate_stack(blocks, rows, profile, grid, reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(ee, gg, eg)

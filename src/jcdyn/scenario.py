@@ -34,7 +34,7 @@ from .observables import (
     population_inversion,
     von_neumann_entropy,
 )
-from .oracle import _check_grid, oracle_evolve_mixed, oracle_rows
+from .oracle import _check_solve, oracle_evolve_mixed, oracle_rows
 
 # Not called here: bench/run.py's trace_targets wraps these jcdyn.scenario
 # attributes by name, so they stay importable from this module.
@@ -488,8 +488,7 @@ def run(scenario: Scenario) -> ResultTable:
     rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
     if scenario.oracle_check:
         for _, dist, profile in cases:
-            oracle_rows(rho0, dist)
-            _check_grid(profile, grid)
+            _check_solve(profile, grid, *oracle_rows(rho0, dist)[:2])
 
     blocks = []
     for value, dist, profile in cases:

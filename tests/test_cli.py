@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,31 @@ def test_compare_over_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["compare", str(path)]) == 2
     assert capsys.readouterr().err == (
         "invalid input: oracle needs 1e+13 steps, over the budget of "
+        f"{oracle.MAX_ORACLE_STEPS}\n"
+    )
+    assert_oracle_refuses_before_running(
+        tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_STEPS
+    )
+
+
+def test_compare_strong_coupling_over_step_budget_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # The span counts only 1e5 steps, but lambda0 = 1000 turns the top
+    # block, n = 14, by sqrt(15) * 1e7 radians, at least one step per two:
+    # refused at once, where the solver would step for hours.
+    doc = dict(
+        BASIC,
+        field={"coherent": 1},
+        profile={"constant": {"lambda0": 1000}},
+        time={"t_end": 1e4, "steps": 5},
+    )
+    path = write_scenario(tmp_path, doc)
+    start = time.perf_counter()
+    assert cli.main(["compare", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "invalid input: oracle needs 1.936492e+07 steps, over the budget of "
         f"{oracle.MAX_ORACLE_STEPS}\n"
     )
     assert_oracle_refuses_before_running(

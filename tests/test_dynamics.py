@@ -14,6 +14,7 @@ from jcdyn import (
     CustomCoupling,
     InvalidInputError,
     JointPureState,
+    LinearCoupling,
     SechCoupling,
     SinusoidalCoupling,
     coherent_amplitudes,
@@ -492,3 +493,67 @@ def test_excited_atom_on_mixed_field_has_no_coherence():
     rho0 = AtomDensityMatrix.from_atom_state(AtomState.excited())
     rho = evolve_mixed(rho0, thermal_weights(5.0), CONST, np.linspace(0.0, 20.0, 101))
     assert np.all(rho.rho_eg == 0.0)
+
+
+TRAPPING_PROFILES = (
+    ConstantCoupling(1.0),
+    LinearCoupling(1.0, 0.16),
+    SechCoupling(1.0, 0.3),
+    SinusoidalCoupling(1.0, 0.1, p=1),
+    CustomCoupling(times=(0.0, 20.0, 40.0, 63.0), values=(0.5, 1.5, 0.2, 1.0)),
+)
+TRAPPING_FIELDS = {
+    "thermal-0.5": thermal_weights(0.5),
+    "thermal-5": thermal_weights(5.0),
+    "thermal-20": thermal_weights(20.0),
+    "thermal-200": thermal_weights(200.0),
+    "custom": custom_distribution(weights=[0.1, 0.4, 0.2, 0.3]),
+}
+# max |Rz| of the sinusoidal profile over its period t <= 20 pi
+TRAPPED = {"thermal-0.5": 0.6335, "thermal-5": 0.1163, "thermal-20": 0.0313}
+
+
+@pytest.mark.parametrize("name", TRAPPING_FIELDS)
+def test_sigma_x_inversion_is_trapped_by_the_field_steps(name):
+    # A sigma_x atom on a photon-diagonal field p has
+    #   W(t) = 1/2 sum_n (p_n - p_{n+1}) cos(2 A sqrt(n+1)) - 1/2 p_0,
+    # so |Rz| <= 1/2 sum_n |p_n - p_{n+1}| + 1/2 p_0 for any profile at any
+    # t. On a thermal field p falls, so the bound is p_0 = 1/(1 + mean_n):
+    # the paper's trapping by a larger mean_n, with its rate.
+    field = TRAPPING_FIELDS[name]
+    p = field.weights / field.weights.sum()  # evolve_mixed conditions on it
+    bound = 0.5 * np.sum(np.abs(np.diff(p, append=0.0))) + 0.5 * p[0]
+    if name.startswith("thermal"):
+        mean_n = float(name.split("-")[1])
+        assert abs(bound - 1.0 / (1.0 + mean_n)) < 1e-11
+    # one period of the sinusoidal profile; 2,001 points for the 5,541
+    # levels of mean_n = 200, to keep the test quick
+    grid = np.linspace(0.0, 20.0 * math.pi, 20001 if name != "thermal-200" else 2001)
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.plus_x())
+    for profile in TRAPPING_PROFILES:
+        rho = evolve_mixed(rho0, field, profile, grid)
+        worst = float(np.max(np.abs(rho.rho_ee - rho.rho_gg)))
+        assert worst <= bound + 1e-12, profile
+        if isinstance(profile, SinusoidalCoupling) and name in TRAPPED:
+            assert round(worst, 4) == TRAPPED[name]
+
+
+@pytest.mark.parametrize("mean_n", [0.5, 5.0])
+@pytest.mark.parametrize("zeta", [1.0, 0.1])
+def test_excited_inversion_period_average_is_a_bessel_sum(mean_n, zeta):
+    # For lambda0 sin(zeta t), A = (lambda0 / zeta)(1 - cos zeta t), and the
+    # period average of cos(2 A sqrt(n+1)) is cos(x_n) J0(x_n) with
+    # x_n = 2 sqrt(n+1) lambda0 / zeta. The rectangle rule on a smooth
+    # periodic integrand converges geometrically; J0 comes from mpmath, so
+    # the check does not share the kernel's trig.
+    field = thermal_weights(mean_n)
+    profile = SinusoidalCoupling(1.0, zeta, p=1)
+    points = 20000
+    t = np.arange(points) * (2.0 * math.pi / zeta / points)
+    average = float(np.mean(inversion_closed_form(field, profile, t)))
+    x = 2.0 * np.sqrt(np.arange(field.weights.size) + 1.0) / zeta
+    bessel_sum = math.fsum(
+        float(p * mpmath.cos(xn) * mpmath.besselj(0, xn))
+        for p, xn in zip(field.weights, x)
+    )
+    assert abs(average - bessel_sum) < 1e-14

@@ -181,37 +181,49 @@ def test_mixed_oracle_takes_pure_fields(field):
 
 
 def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
-    # Block n pairs e0[n] with g0[n+1]; a row starting at (0, 0) stays there.
+    # Block n pairs e0[n] with g0[n+1]; its complex row (c_e, c_g) holds the
+    # real pairs (Re c_e, Im c_g) and (Re c_g, Im c_e), and a pair starting
+    # at (0, 0) stays there. The solver's float state holds 2 per pair.
     from jcdyn import oracle
 
-    rows = []
+    pairs = []
     original = oracle.solve_ivp
 
     def counting(*args, **kwargs):
-        rows.append(np.asarray(args[2]).size // 2)
+        y0 = np.asarray(args[2])
+        assert y0.dtype == float
+        pairs.append(y0.size // 2)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "solve_ivp", counting)
     grid = np.linspace(0.0, 3.0, 7)
     thermal = thermal_weights(1.2)
     coherent = coherent_amplitudes(2.0)
-    # excited: only the |e> part of one eigenvector, n = 0 .. n_max
+    # excited: only the |e> part of one real eigenvector, n = 0 .. n_max,
+    # and only Re c_e of each: one pair per block
     oracle_evolve_mixed(AtomDensityMatrix(1.0, 0.0, 0.0), thermal, CONST, grid)
-    # rank 2: per eigenvector, n_max + 1 |e> rows and n_max |g> rows
+    # rank 2: eigh gives each eigenvector a real phi_e and a phi_g with both
+    # parts nonzero, so per eigenvector n_max + 1 |e> rows of one pair and
+    # n_max |g> rows of two
     rank2 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
+    _, vecs = np.linalg.eigh(rank2.as_matrix())
+    assert np.all(vecs[0].imag == 0.0) and np.all(vecs[1].real * vecs[1].imag != 0)
     rhos = oracle_evolve_mixed(rank2, thermal, CONST, grid)
-    # ground: the top block pairs two empty slots and is skipped
+    # ground on a real alpha: Re c_g of each block; the top block pairs two
+    # empty slots and is skipped
     states = oracle_evolve_pure(AtomState.ground(), coherent, CONST, grid)
-    assert rows == [
+    assert pairs == [
         thermal.n_max + 1,
-        2 * (2 * thermal.n_max + 1),
+        2 * (thermal.n_max + 1 + 2 * thermal.n_max),
         coherent.n_max,
     ]
     ref = evolve_mixed(rank2, thermal, CONST, grid)
     assert np.max(np.abs(rhos.rho_eg - ref.rho_eg)) < 1e-9
-    # the skipped block's slots stay empty; the dark |g,0> keeps C_0
+    # the skipped block's slots stay empty, and so do the skipped pair
+    # (Re c_e, Im c_g) of the other blocks; the dark |g,0> keeps C_0
     assert np.all(states.amps_e[:, -2:] == 0.0)
     assert np.all(states.amps_g[:, -1] == 0.0)
+    assert np.all(states.amps_e.real == 0.0) and np.all(states.amps_g.imag == 0.0)
     assert np.all(states.amps_g[:, 0] == coherent.amplitudes[0])
 
 
@@ -229,8 +241,8 @@ PAIRING_FIELDS = {"thermal": thermal_weights(1.2), "coherent": coherent_amplitud
 def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     atom_name, field_name, solves, monkeypatch
 ):
-    # The reduction reads the solver's rows block by block as they come;
-    # scattering the same rows back into joint states and reducing those
+    # The reduction reads the solver's pairs block by block as they come;
+    # scattering the same pairs back into joint states and reducing those
     # must agree with it.
     from jcdyn import oracle
 
@@ -238,16 +250,29 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     atom, field = PAIRING_ATOMS[atom_name], PAIRING_FIELDS[field_name]
     grid = np.linspace(0.0, 3.0, 13)
     rhos = oracle_evolve_mixed(atom, field, SechCoupling(1.0, 0.2), grid)
-    ((_, _, _, samples),) = solves
-    e0, g0, s, n = oracle.oracle_rows(atom, field)
-    samples = samples.reshape(grid.size, -1, 2)
+    (((_, _, y0), _, _, samples),) = solves
+    _, rows, dark = oracle.oracle_rows(atom, field)
+    # Row r = (c_e, c_g) of block n of state s, r = s (n_max + 1) + n, holds
+    # pair 0 (Re c_e, Im c_g) and pair 1 (Re c_g, Im c_e); the solver gets
+    # the pairs that start nonzero, row by row, as (p, q) floats.
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    r, j = np.nonzero(live)
+    np.testing.assert_array_equal(
+        y0, np.stack([rows.real[r, j], rows.imag[r, 1 - j]], axis=1).ravel()
+    )
     if (atom_name, field_name) == ("ground", "coherent"):
-        assert s.size == field.n_max  # the top block pairs two empty slots
-    e = np.zeros((grid.size,) + e0.shape, dtype=complex)
+        # the top block pairs two empty slots
+        assert np.count_nonzero(live.any(axis=1)) == field.n_max
+    re = np.zeros((grid.size,) + rows.shape)
+    im = np.zeros_like(re)
+    re[:, r, j] = samples[:, 0::2]
+    im[:, r, 1 - j] = samples[:, 1::2]
+    blocks = (re + 1j * im).reshape(grid.size, dark.size, -1, 2)
+    e = np.zeros((grid.size, dark.size, field.n_max + 2), dtype=complex)
     g = np.zeros_like(e)
-    e[:, s, n] = samples[:, :, 0]
-    g[:, s, n + 1] = samples[:, :, 1]
-    g[:, :, 0] = g0[:, 0]
+    e[:, :, :-1] = blocks[..., 0]
+    g[:, :, 1:] = blocks[..., 1]
+    g[:, :, 0] = dark
     # Joint states per atom member: one on a pure field, |e> and |g> parts
     # on a photon-diagonal one.
     k = 1 if field.amplitudes is not None else 2
@@ -257,6 +282,67 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
         np.sum(e[:, 0::k] * g[:, k - 1 :: k].conj(), axis=(1, 2)),
     )
     assert max_gap(rhos, ref) < 1e-15
+
+
+ONE_PAIR_ATOMS = {
+    "excited": AtomDensityMatrix(1.0, 0.0, 0.0),
+    "ground": AtomDensityMatrix(0.0, 1.0, 0.0),
+    "plus_x": AtomDensityMatrix.from_atom_state(AtomState.plus_x()),
+}
+ONE_PAIR_FIELDS = {
+    "thermal": thermal_weights(1.2),
+    "custom_weights": custom_distribution(weights=[0.1, 0.4, 0.2, 0.3]),
+}
+
+
+def solver_rows_and_pairs(solves, atom, field):
+    """Run the mixed oracle against the closed form; return the number of
+    block rows that start nonzero and the pairs in the solver's state."""
+    grid = np.linspace(0.0, 8.0, 33)
+    profile = SechCoupling(1.0, 0.2)
+    rhos = oracle_evolve_mixed(atom, field, profile, grid)
+    # the tolerance of test_adaptive_mixed_matches_closed_form
+    assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
+    (((_, _, y0), _, _, _),) = solves
+    assert y0.dtype == float
+    _, rows, _ = oracle_rows(atom, field)
+    return np.count_nonzero(np.any(rows != 0, axis=1)), y0.size // 2
+
+
+@pytest.mark.parametrize("field_name", ONE_PAIR_FIELDS)
+@pytest.mark.parametrize("atom_name", ONE_PAIR_ATOMS)
+def test_real_atom_on_diagonal_field_integrates_one_pair_per_row(
+    atom_name, field_name, solves
+):
+    # A real eigenvector on a photon-diagonal field starts each row as
+    # (real, 0) or (0, real): c_e stays real and c_g imaginary, or the
+    # other way round, so one real pair carries the row.
+    rows, pairs = solver_rows_and_pairs(
+        solves, ONE_PAIR_ATOMS[atom_name], ONE_PAIR_FIELDS[field_name]
+    )
+    assert rows > 0 and pairs == rows
+
+
+@pytest.mark.parametrize(
+    "atom, field, spare",
+    [
+        # complex amplitudes: both parts of every row are live
+        (
+            AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j),
+            coherent_amplitudes(1.2 + 0.9j),
+            0,
+        ),
+        # real and nonzero e and g: two pairs, but the top row's g slot is
+        # past the cutoff, which leaves it one
+        (AtomState.plus_x(), coherent_amplitudes(1.5), 1),
+    ],
+    ids=["complex-atom-complex-alpha", "plus_x-real-alpha"],
+)
+def test_complex_start_rows_integrate_two_pairs(atom, field, spare, solves):
+    rows, pairs = solver_rows_and_pairs(
+        solves, AtomDensityMatrix.from_atom_state(atom), field
+    )
+    assert rows > 0 and pairs == 2 * rows - spare
 
 
 # Peak of the case below: 4.1 MiB at 201 and at 2001 times, 4.6 MiB at
@@ -348,6 +434,21 @@ def test_oracle_counts_its_steps_before_the_first(rk4_step, grid, steps, monkeyp
     with pytest.raises(InvalidInputError) as err:
         integrate_block(0, (1.0, 0.0), CONST, grid, rk4_step=rk4_step)
     assert str(err.value) == f"oracle needs {steps} steps, over the budget of {steps - 1}"
+
+
+def test_oracle_counts_a_strong_couplings_phase(monkeypatch):
+    # DOP853 takes at least one step per two radians of the top block's
+    # phase sqrt(n+1) * integral |lambda|: 0.5 * 2 * 40 * 1 = 40 steps here,
+    # more than the span's 10.
+    from jcdyn import oracle
+
+    grid = [0.0, 0.5, 1.0]
+    monkeypatch.setattr(oracle, "MAX_ORACLE_STEPS", 40)
+    integrate_block(3, (1.0, 0.0), ConstantCoupling(40.0), grid)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_STEPS", 39)
+    with pytest.raises(InvalidInputError) as err:
+        integrate_block(3, (1.0, 0.0), ConstantCoupling(40.0), grid)
+    assert str(err.value) == "oracle needs 40 steps, over the budget of 39"
 
 
 def test_rk4_over_step_budget_is_refused():
@@ -535,9 +636,9 @@ def test_mixed_oracle_wide_thermal_field():
 
 
 def _plain_rhs(blocks, profile, t_end):
-    """The oracle's right-hand side written plainly: each row's (e, g) pair
-    reversed through a strided view, times its coefficient, times the rate
-    at the clamped time as a Python float."""
+    """The block equation on complex rows written plainly: each row's
+    (e, g) pair reversed through a strided view, times its coefficient,
+    times the rate at the clamped time as a Python float."""
     pair_coef = np.repeat(-1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0), 2)
 
     def rhs(t, y):
@@ -547,13 +648,25 @@ def _plain_rhs(blocks, profile, t_end):
     return rhs
 
 
+def _plain_pair_rhs(k, profile, t_end):
+    """The oracle's right-hand side on real pairs written plainly: each pair
+    (p, q) of the state goes to (k q, -k p), ``k`` its block's sqrt(n+1),
+    times the rate at the clamped time as a Python float."""
+
+    def rhs(t, y):
+        rate = float(profile.rate(min(max(float(t), 0.0), t_end)))
+        p, q = y[0::2], y[1::2]
+        return np.stack([k * q, -k * p], axis=1).ravel() * rate
+
+    return rhs
+
+
 def _states_with_zeros(rng, size, count=8):
-    """Random complex states in which some entries, real parts and
-    imaginary parts are exact (signed) zeros."""
-    states = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+    """Random real states in which some entries are exact zeros of either
+    sign."""
+    states = rng.normal(size=(count, size))
     states[:, ::5] = 0.0
-    states.real[:, 1::7] = 0.0
-    states.imag[:, 2::7] = -0.0
+    states[:, 1::7] = -0.0
     states[0] = 0.0
     return states
 
@@ -570,15 +683,18 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
     ((args, _, _, _),) = solves
     rhs, (_, span_end), y0 = args
     assert span_end == t_end
-    _, _, _, blocks = oracle_rows(rho0, field)
-    plain = _plain_rhs(blocks, profile, t_end)
+    # The pairs that start nonzero, row by row; each row's block sets k.
+    blocks, rows, _ = oracle_rows(rho0, field)
+    r, _ = np.nonzero((rows.real != 0) | (rows.imag[:, ::-1] != 0))
+    assert y0.dtype == float and y0.size == 2 * r.size
+    plain = _plain_pair_rhs(np.sqrt(blocks[r] + 1.0), profile, t_end)
     rng = np.random.default_rng(7)
     times = [0.0, -0.0, 0.37, t_end, np.nextafter(0.0, -1.0), -1e-13,
              np.nextafter(t_end, 2.0), t_end + 1e-13]
     for y in _states_with_zeros(rng, y0.size):
         for t in times + [np.float64(t) for t in times]:
             new = rhs(t, y.copy())
-            assert new.dtype == complex and new.shape == y.shape
+            assert new.dtype == float and new.shape == y.shape
             assert new.tobytes() == plain(t, y).tobytes(), (t, y)
 
 
