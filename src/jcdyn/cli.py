@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import InvalidInputError, NumericalFailureError
 from .fields import _check_tail
 from .observables import revival_time
-from .output import check_selection, emit_csv, emit_svg, write_csv
+from .output import emit_csv, emit_svg, write_csv
 # format_csv is not called here; it stays importable from this module,
 # where bench/run.py's tracer wraps it by name.
 from .output import format_csv  # noqa: F401
@@ -106,24 +106,21 @@ def _cmd_run(args):
         scenario = replace(scenario, tail_epsilon=tail_epsilon)
 
     table = run(scenario)
-    if args.svg:
-        # Before the first write, so a bad column leaves no file behind.
-        check_selection(table.columns, selection, parametric)
-
     stem = Path(args.scenario).stem
     out_dir = Path(args.out)
     # Each file is written under its .tmp name and moved into place only
-    # once all are written, so a failed run leaves no new file behind.
+    # once all are written, so a failed run leaves no new file behind. The
+    # SVG goes first: emit_svg refuses a bad selection before it opens a file.
     targets = []
     try:
         if args.csv or args.svg:
             out_dir.mkdir(parents=True, exist_ok=True)
-        if args.csv:
-            targets.append(out_dir / f"{stem}.csv")
-            emit_csv(table, f"{targets[-1]}.tmp")
         if args.svg:
             targets.append(out_dir / f"{stem}.svg")
             emit_svg(table, selection, f"{targets[-1]}.tmp", parametric=parametric)
+        if args.csv:
+            targets.insert(0, out_dir / f"{stem}.csv")
+            emit_csv(table, f"{targets[0]}.tmp")
         for target in targets:
             # A directory in a target's place would fail only its own move,
             # after the others had been made.

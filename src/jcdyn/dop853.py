@@ -176,21 +176,17 @@ def _initial_step(fun, t0, y0, f0, t_bound):
 
 
 def _norm2(x):
-    """``np.linalg.norm(x) ** 2`` of a 1-D array, by numpy's own operations
-    without its dispatch."""
-    if x.dtype.kind == "c":
-        sq = x.real.dot(x.real) + x.imag.dot(x.imag)
-    else:
-        sq = x.dot(x)
-    return np.sqrt(sq) ** 2
+    """``np.linalg.norm(x) ** 2`` of a 1-D float array, by numpy's own
+    operations without its dispatch."""
+    return np.sqrt(x.dot(x)) ** 2
 
 
-def _interpolant(F, K, d, h, y_old, y, work):
+def _interpolant(F, K, h, y_old, y, work):
     """Fill ``F`` with the 7 coefficient vectors of the step's order-7
     interpolant from its 16 stages ``K``; ``K[0]`` and ``K[N_STAGES]`` are
-    the slopes at the step's ends, ``d`` is ``D`` in the state's dtype and
-    ``work`` is a buffer of y's size. The rows are scipy's delta,
-    h K[0] - delta, 2 delta - h (K[N_STAGES] + K[0]) and h (D @ K)."""
+    the slopes at the step's ends and ``work`` is a buffer of y's size. The
+    rows are scipy's delta, h K[0] - delta, 2 delta - h (K[N_STAGES] + K[0])
+    and h (D @ K)."""
     delta = np.subtract(y, y_old, out=F[0])
     np.multiply(K[0], h, out=F[1])
     F[1] -= delta
@@ -198,7 +194,7 @@ def _interpolant(F, K, d, h, y_old, y, work):
     F[2] *= h
     np.multiply(delta, 2, out=work)
     np.subtract(work, F[2], out=F[2])
-    np.dot(d, K, out=F[3:])
+    np.dot(D, K, out=F[3:])
     F[3:] *= h
 
 
@@ -214,8 +210,8 @@ def _evaluate(F, y_old, x, out):
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, sink):
-    """Integrate y' = fun(t, y) forward over ``t_span`` and sample it at the
-    sorted points ``t_eval``, as scipy's ``solve_ivp`` does with
+    """Integrate y' = fun(t, y), y real, forward over ``t_span`` and sample
+    it at the sorted points ``t_eval``, as scipy's ``solve_ivp`` does with
     ``method="DOP853"``, ``rtol=RTOL``, ``atol=ATOL`` and ``max_step=MAX_STEP``.
 
     A step takes 12 evaluations of ``fun``; the 3 more stages of the dense
@@ -235,19 +231,18 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             and t <= t_eval[0] and t_eval[-1] <= t_bound
             and np.all(np.diff(t_eval) > 0)):
         raise ValueError("t_span must increase and t_eval must rise within it")
-    dtype = complex if np.iscomplexobj(y0) else float
+    if np.iscomplexobj(y0):
+        raise ValueError("y0 must be real")
     # The solver's own copy: y and y_new swap buffers at each step.
-    y = np.array(y0, dtype=dtype)
-    # The tableau in the state's dtype, so no stage sum casts it again. Each
-    # stage state is y + (K[:s].T @ a[s]) * h formed in place, scipy's
+    y = np.array(y0, dtype=float)
+    # Each stage state is y + (K[:s].T @ a[s]) * h formed in place, scipy's
     # operations in scipy's order; h is never folded into the tableau.
-    tableau, b, e5, e3, d = (m.astype(dtype) for m in (A, B, E5, E3, D))
-    a = [tableau[s, :s] for s in range(C.size)]
+    a = [A[s, :s] for s in range(C.size)]
     c = C.tolist()
-    K = np.empty((C.size, y.size), dtype=dtype)
+    K = np.empty((C.size, y.size))
     KT = [K[:s].T for s in range(C.size + 1)]
     stage, y_new, err = (np.empty_like(y) for _ in range(3))
-    F = np.empty((7, y.size), dtype=dtype)
+    F = np.empty((7, y.size))
 
     def stages(first, stop, t, h, y):
         """Stages first to stop - 1 of the step of h from (t, y)."""
@@ -257,7 +252,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             state += y
             K[s] = fun(t + c[s] * h, state)
 
-    K[0] = f = np.asarray(fun(t, y), dtype=dtype)
+    K[0] = f = np.asarray(fun(t, y), dtype=float)
     h_abs = _initial_step(fun, t, y, f, t_bound)
     nfev = 2  # then 12 per step tried and 3 per interpolant
     # |y| of the step's start comes from the last accepted step's |y_new|.
@@ -277,7 +272,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             h = t_new - t
             h_abs = abs(h)
             stages(1, N_STAGES, t, h, y)
-            np.dot(KT[N_STAGES], b, out=y_new)
+            np.dot(KT[N_STAGES], B, out=y_new)
             y_new *= h
             y_new += y
             K[N_STAGES] = fun(t + h, y_new)
@@ -286,10 +281,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
             np.maximum(abs_y, abs_new, out=scale)
             scale *= RTOL
             scale += ATOL
-            np.dot(KT[N_STAGES + 1], e5, out=err)
+            np.dot(KT[N_STAGES + 1], E5, out=err)
             err /= scale
             err5 = _norm2(err)
-            np.dot(KT[N_STAGES + 1], e3, out=err)
+            np.dot(KT[N_STAGES + 1], E3, out=err)
             err /= scale
             err3 = _norm2(err)
             if err5 == 0 and err3 == 0:
@@ -306,7 +301,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, sink):
         if stop > done:
             stages(N_STAGES + 1, C.size, t, h, y)
             nfev += C.size - N_STAGES - 1
-            _interpolant(F, K, d, h, y, y_new, stage)
+            _interpolant(F, K, h, y, y_new, stage)
             while done < stop:
                 rows = sink(done, stop)
                 x = ((t_eval[done : done + len(rows)] - t) / h)[:, None]

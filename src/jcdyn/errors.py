@@ -62,19 +62,6 @@ def as_numbers(value, name, ndim=0, kind=float):
     else a ``kind`` array.
     """
     ranks = ndim if isinstance(ndim, tuple) else (ndim,)
-    if (type(value) is float or type(value) is int) and 0 in ranks:
-        # One Python number, the common case, checked without an array. An
-        # int outside 64 bits, or a float, for kind int goes on below.
-        if kind is not int:
-            try:
-                number = float(value)
-            except OverflowError:
-                number = math.inf
-            if not math.isfinite(number):
-                raise InvalidInputError(f"{name} must be finite")
-            return complex(number) if kind is complex else number
-        if type(value) is int and -(2**63) <= value < 2**64:
-            return value
     dtypes, one, many = _KINDS[kind]
     try:
         if not isinstance(value, (np.ndarray, np.generic)):
@@ -105,14 +92,9 @@ def as_numbers(value, name, ndim=0, kind=float):
 def all_finite(arr):
     """Whether every entry of a float or complex array, of any layout, is
     finite. Reads the least and greatest entry, which a NaN propagates to,
-    so no mask as large as the array is allocated: of one float view when
-    the array is C-contiguous, else of its real and imaginary parts."""
-    if arr.dtype.kind != "c":
-        parts = (arr,)
-    elif arr.flags.c_contiguous:
-        parts = (arr.reshape(-1).view(arr.real.dtype),)
-    else:
-        parts = (arr.real, arr.imag)
+    of the array or of its real and imaginary parts, so no mask as large as
+    the array is allocated."""
+    parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
     return arr.size == 0 or all(
         math.isfinite(part.min()) and math.isfinite(part.max()) for part in parts
     )

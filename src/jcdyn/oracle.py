@@ -47,8 +47,8 @@ from .fields import PhotonDistribution
 _EIGENWEIGHT_FLOOR = 1e-15
 
 # Most complex values one solve's stage vectors may hold: DOP853 keeps
-# _STAGES vectors of the live real pairs of each integrated row, at most
-# the bytes of its 2 complex values, so a row counts as 2; 256 MiB at 2^24.
+# _STAGES vectors of the live real pairs, and a pair's 2 floats take the
+# bytes of one complex value, so a pair counts as 1; 256 MiB at 2^24.
 # The samples do not count: they arrive in time blocks, which the mixed
 # oracle reduces and the other entries copy into their return value.
 MAX_ORACLE_SAMPLES = 2**24
@@ -76,10 +76,10 @@ def _live_pairs(rows):
     Row (c_e, c_g) = (x_e + i y_e, x_g + i y_g) holds pair 0, (x_e, y_g),
     and pair 1, (x_g, y_e). A pair that starts at (0, 0) stays there, so
     only the live ones are integrated; a solve of more than
-    MAX_ORACLE_SAMPLES / (2 _STAGES) rows with a live pair is refused.
+    MAX_ORACLE_SAMPLES / _STAGES live pairs is refused.
     """
     live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
-    count = _STAGES * 2 * np.count_nonzero(np.any(live, axis=1))
+    count = _STAGES * np.count_nonzero(live)
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
             f"oracle needs {count} complex stage values, over the budget of "

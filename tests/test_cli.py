@@ -181,7 +181,8 @@ def test_run_into_closed_pipe_exits_2(tmp_path, doc, unbuffered):
 
 
 def test_run_unknown_svg_column_writes_nothing(tmp_path, capsys):
-    # The selection is checked against the table before the CSV is written.
+    # emit_svg checks the selection against the table before it opens a
+    # file, and the SVG is written before the CSV.
     path = write_scenario(tmp_path, BASIC)
     out_dir = tmp_path / "results"
     code = cli.main(["run", str(path), "--csv", "--svg", "nope", "--out", str(out_dir)])
@@ -193,8 +194,8 @@ def test_run_unknown_svg_column_writes_nothing(tmp_path, capsys):
 
 
 def test_run_failed_svg_leaves_no_csv(tmp_path, capsys):
-    # The SVG's name is taken by a directory: the CSV, written first, must
-    # not be left behind by a run that exits 2.
+    # The SVG's name is taken by a directory: the CSV, written beside it,
+    # must not be left behind by a run that exits 2.
     path = write_scenario(tmp_path, BASIC)
     out_dir = tmp_path / "results"
     (out_dir / "case.svg").mkdir(parents=True)
@@ -338,10 +339,10 @@ def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc, bud
 
 
 def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # plus_x on thermal mean_n=1e4 integrates about 552,600 rows, whose 16
+    # plus_x on thermal mean_n=2e4 integrates 1,105,269 pairs, whose 16
     # stage vectors pass 2^24 values: refused before the closed form or the
     # solver runs.
-    doc = dict(BASIC, atom="plus_x", field={"thermal": 1e4})
+    doc = dict(BASIC, atom="plus_x", field={"thermal": 2e4})
     assert_oracle_refuses_before_running(
         tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES
     )
@@ -350,7 +351,7 @@ def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_sweep_over_oracle_budget_exits_2_before_its_first_case(
     tmp_path, capsys, monkeypatch
 ):
-    sweep = {"parameter": "mean_n", "values": [1, 1e4]}
+    sweep = {"parameter": "mean_n", "values": [1, 2e4]}
     doc = dict(BASIC, atom="plus_x", field={"thermal": 1}, sweep=sweep)
     assert_oracle_refuses_before_running(
         tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES

@@ -345,6 +345,35 @@ def test_complex_start_rows_integrate_two_pairs(atom, field, spare, solves):
     assert rows > 0 and pairs == 2 * rows - spare
 
 
+@pytest.mark.parametrize(
+    "atom, per_row",
+    [
+        (AtomState.excited(), 1),
+        (AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j), 2),
+    ],
+    ids=["excited-one-pair", "complex-atom-two-pairs"],
+)
+def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
+    # DOP853 holds 16 stage vectors of the live pairs, each pair the bytes
+    # of one complex value: a count at the budget runs, one past it is
+    # refused before the first step.
+    from jcdyn import oracle
+
+    rho = AtomDensityMatrix.from_atom_state(atom)
+    field = coherent_amplitudes(1.2 + 0.9j if per_row == 2 else 1.2)
+    _, rows, _ = oracle_rows(rho, field)
+    count = 16 * per_row * np.count_nonzero(np.any(rows != 0, axis=1))
+    grid = np.linspace(0.0, 1.0, 5)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SAMPLES", count)
+    oracle_evolve_mixed(rho, field, CONST, grid)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SAMPLES", count - 1)
+    with pytest.raises(InvalidInputError) as err:
+        oracle_evolve_mixed(rho, field, CONST, grid)
+    assert str(err.value) == (
+        f"oracle needs {count} complex stage values, over the budget of {count - 1}"
+    )
+
+
 # Peak of the case below: 4.1 MiB at 201 and at 2001 times, 4.6 MiB at
 # 20,001, where the three output columns and their conditioned copies take
 # the difference. Holding the samples took 16.4 MiB at 201 times and
