@@ -140,8 +140,10 @@ class SinusoidalCoupling(_Profile):
         return self.lambda0 * np.sin(self.p * self.zeta3 * t)
 
     def area(self, t):
+        # 1 - cos(kt) as 2 sin^2(kt/2): the difference loses every relative
+        # digit as kt goes to 0.
         k = self.p * self.zeta3
-        return self.lambda0 * (1.0 - np.cos(k * t)) / k
+        return 2.0 * self.lambda0 * np.sin(0.5 * k * t) ** 2 / k
 
     def seed_edges(self, t):
         period = 2.0 * math.pi / (self.p * self.zeta3)

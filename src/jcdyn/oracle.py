@@ -9,22 +9,24 @@ closed-form path validates the area-based solution end to end. Block n's
 amplitudes (c_e, c_g) = (x_e + i y_e, x_g + i y_g) obey
 i (d/dt)(c_e, c_g) = lambda(t) k (c_g, c_e), k = sqrt(n+1), which splits
 into two real pairs (p, q), (x_e, y_g) and (x_g, y_e), each obeying
-p' = k lambda q, q' = -k lambda p. A pair that starts at (0, 0) stays
-there, so only the pairs that start nonzero are integrated: one per block
-for a real atom eigenvector on a photon-diagonal field, two for a complex
-one. All the pairs of a run are stacked into one flat real state vector so
-the solver is called once per trajectory, and its samples come back in
-time blocks, scattered back into complex block rows, through reused
-buffers. ``oracle_evolve_mixed`` takes any atom on any field, as
-``evolve_mixed`` does, and returns the reduced atom, summed in time blocks
-as the solver hands the samples over, so that it holds the solver's
-working set and one time block, whatever the number of grid times.
-``oracle_evolve_pure`` returns the joint state of a pure atom on a pure
-field, copying each time block into it. Both evolve joint pure states
-through one helper, and every block starts at its physical amplitude, for
-atom eigen-member k of weight w_k: sqrt(w_k) phi_k C_n on a pure field,
-sqrt(w_k p_n) phi_k on a photon-diagonal one. So the solver tolerances
-act alike on every field.
+p' = k lambda q, q' = -k lambda p. Every pair of block n obeys this one
+linear equation, so as a complex number z = p + i q each follows the same
+solution: z(t) = (z0 / r) (P + i Q), where (P, Q) starts at (r, 0). The
+solver therefore integrates one pair per photon block that holds a pair
+starting nonzero, r that block's norm over all such pairs of all the joint
+states of a run; a pair that starts at (0, 0) stays there. These pairs are
+stacked into one flat real state vector, so the solver is called once per
+trajectory, and its samples come back in time blocks, spread back onto
+the complex block rows through reused buffers. ``oracle_evolve_mixed``
+takes any atom on any field, as ``evolve_mixed`` does, and returns the
+reduced atom, summed in time blocks as the solver hands the samples over,
+so that it holds the solver's working set and one time block, whatever the
+number of grid times. ``oracle_evolve_pure`` returns the joint state of a
+pure atom on a pure field, copying each time block into it. Both evolve
+joint pure states through one helper, and every block starts at its
+physical amplitude, for atom member v_k (rho = sum_k v_k v_k^dagger):
+v_k C_n on a pure field, sqrt(p_n) v_k on a photon-diagonal one. So the
+solver tolerances act alike on every field.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ from .dynamics import (
 from .errors import InvalidInputError, NumericalFailureError, all_finite, as_numbers
 from .fields import PhotonDistribution
 
-_EIGENWEIGHT_FLOOR = 1e-15
+# Weight below which the atom's second member is dropped.
+_MEMBER_FLOOR = 1e-15
 
 # Most complex values one solve's stage vectors may hold: DOP853 keeps
-# _STAGES vectors of the live real pairs, and a pair's 2 floats take the
-# bytes of one complex value, so a pair counts as 1; 256 MiB at 2^24.
+# _STAGES vectors of the integrated pairs, one per live photon block, and a
+# pair's 2 floats take the bytes of one complex value, so a pair counts as
+# 1; 256 MiB at 2^24.
 # The samples do not count: they arrive in time blocks, which the mixed
 # oracle reduces and the other entries copy into their return value.
 MAX_ORACLE_SAMPLES = 2**24
@@ -69,23 +73,27 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _live_pairs(rows):
-    """Which real pairs of the complex block rows ``rows`` (B, 2) start
-    nonzero, as a (B, 2) mask.
+def _live_pairs(blocks, rows):
+    """The real pairs of the complex block rows ``rows`` (B, 2), of block
+    numbers ``blocks``, that start nonzero, as (i, j, n, b): pair j of row
+    i, the sorted numbers n of the blocks that hold one, and each pair's
+    index b into n.
 
     Row (c_e, c_g) = (x_e + i y_e, x_g + i y_g) holds pair 0, (x_e, y_g),
     and pair 1, (x_g, y_e). A pair that starts at (0, 0) stays there, so
-    only the live ones are integrated; a solve of more than
-    MAX_ORACLE_SAMPLES / _STAGES live pairs is refused.
+    only the live ones are followed, through one integrated pair per block
+    in n; a solve of more than MAX_ORACLE_SAMPLES / _STAGES blocks is
+    refused.
     """
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
-    count = _STAGES * np.count_nonzero(live)
+    i, j = np.nonzero((rows.real != 0) | (rows.imag[:, ::-1] != 0))
+    n, b = np.unique(blocks[i], return_inverse=True)
+    count = _STAGES * n.size
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
             f"oracle needs {count} complex stage values, over the budget of "
             f"{MAX_ORACLE_SAMPLES}"
         )
-    return live
+    return i, j, n, b
 
 
 def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
@@ -110,11 +118,11 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
-    live = _live_pairs(rows)
+    live_blocks = _live_pairs(blocks, rows)[2]
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
-        top = np.max(blocks[np.any(live, axis=1)], initial=0)
+        top = np.max(live_blocks, initial=0)
         rate = np.abs(lambda_at(profile, grid))
         with np.errstate(over="ignore"):
             phase = math.sqrt(top + 1.0) * np.sum((rate[1:] + rate[:-1]) * gaps) / 2
@@ -136,34 +144,61 @@ def _integrate_stack(blocks, rows, profile, grid, consume, rk4_step=None):
     Row i of the complex (B, 2) ``rows`` holds the (e, g) pair of block
     ``blocks[i]``, obeying i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e),
     on a ``grid`` already checked by ``_check_solve`` with the same
-    ``rk4_step``. The rows' live real pairs (``_live_pairs``) are stepped
-    as one float vector, by DOP853, or with ``rk4_step`` set, by
-    fixed-step RK4 subdividing each grid interval evenly into steps of at
-    most that size. Each run of grid times start..stop-1 that fills a
-    block of _BLOCK_ELEMENTS entries (one time at least; a time takes one
-    per live pair and two per row), and the rest at the end, is checked
-    finite, scattered back into (stop - start, B, 2) complex samples, whose
-    dead pairs stay 0, and handed to ``consume(start, samples)`` as soon as
-    it is complete; its buffers are then reused.
+    ``rk4_step``. One real pair per block n that holds a live pair
+    (``_live_pairs``) starts at (r_n, 0), r_n the norm of the block's live
+    pairs, and these are stepped as one float vector, by DOP853, or with
+    ``rk4_step`` set, by fixed-step RK4 subdividing each grid interval
+    evenly into steps of at most that size. Each run of grid times
+    start..stop-1 that fills a block of _BLOCK_ELEMENTS entries (one time at
+    least; a time takes two per row, one per block and one per live pair),
+    and the rest at the end, is checked finite; each live pair z0 = p0 + i q0
+    of block n is then (z0 / r_n) (P_n + i Q_n), written into
+    (stop - start, B, 2) complex samples, whose dead pairs stay 0, and
+    handed to ``consume(start, samples)`` as soon as it is complete; its
+    buffers are then reused.
     """
-    i, j = np.nonzero(_live_pairs(rows))
-    y0 = np.stack([rows.real[i, j], rows.imag[i, 1 - j]], axis=1).ravel()
-    coef = (np.sqrt(blocks[i] + 1.0)[:, None] * [1.0, -1.0]).ravel()
-    # Where each float of y0 goes in a time's (B, 2) complex samples viewed
+    i, j, n, b = _live_pairs(blocks, rows)
+    zr, zi = rows.real[i, j], rows.imag[i, 1 - j]
+    # Each block's norm, summed by hypot: squares of the far tails of a
+    # wide field underflow.
+    r = np.zeros(n.size)
+    np.hypot.at(r, b, zr)
+    np.hypot.at(r, b, zi)
+    wr, wi = zr / r[b], zi / r[b]
+    y0 = np.zeros(2 * n.size)
+    y0[0::2] = r
+    coef = (np.sqrt(n + 1.0)[:, None] * [1.0, -1.0]).ravel()
+    # Where each pair's p and q go in a time's (B, 2) complex samples viewed
     # as 4 B floats: pair (i, j) is (Re rows[i, j], Im rows[i, 1 - j]).
-    places = np.stack([4 * i + 2 * j, 4 * i + 3 - 2 * j], axis=1).ravel()
-    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, 2 * len(rows) + i.size)))
+    p_places, q_places = 4 * i + 2 * j, 4 * i + 3 - 2 * j
+    p_cols, q_cols = 2 * b, 2 * b + 1  # its block's P and Q in a sample
+    per_time = 2 * len(rows) + n.size + i.size
+    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, per_time)))
     buf = np.empty((size, y0.size))
     out = np.zeros((size, len(rows), 2), dtype=complex)
     floats = out.view(float).reshape(size, -1)
+    terms = np.empty((2, size, i.size))
     first = 0  # grid index of buf[0]
 
+    def spread(m, places, x, y, op):
+        # op(wr x, wi y) for each live pair, x and y its block's P or Q
+        # columns; float products, not a complex one, whose bits would
+        # depend on the time block's length.
+        u, v = terms[0, :m], terms[1, :m]
+        np.take(buf[:m], x, axis=1, out=u)
+        u *= wr
+        np.take(buf[:m], y, axis=1, out=v)
+        v *= wi
+        op(u, v, out=u)
+        floats[:m, places] = u
+
     def flush(stop):
-        samples = buf[: stop - first]
-        if not all_finite(samples):
+        m = stop - first
+        if not all_finite(buf[:m]):
             raise NumericalFailureError("reference integrator produced non-finite values")
-        floats[: stop - first, places] = samples
-        consume(first, out[: stop - first])
+        spread(m, p_places, p_cols, q_cols, np.subtract)
+        spread(m, q_places, q_cols, p_cols, np.add)
+        consume(first, out[:m])
 
     def sink(start, stop):
         nonlocal first
@@ -290,27 +325,34 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     on a field, as (blocks, rows, dark): their block rows as
     ``_block_rows`` returns them, and their dark |g,0> amplitudes.
 
-    Diagonalizes the atomic state into members w_k phi_k. On a pure field
-    member k is one joint pure state sqrt(w_k) phi_k (x) C, state k. On a
-    photon-diagonal field member k splits into two: its |e> part,
-    sqrt(w_k p_n) phi_k,e on |e,n>, state 2k, and its |g> part,
-    sqrt(w_k p_n) phi_k,g on |g,n>, state 2k + 1. ``_check_solve`` on the
-    rows checks the solve's budgets, so a caller can refuse a case before
+    Splits the atom into members v_k, rho = sum_k v_k v_k^dagger, the
+    columns of its pivoted Cholesky factor: pivoting on the larger of
+    rho_ee and rho_gg, say rho_ee = a, v_0 = (sqrt(a), conj(rho_eg) /
+    sqrt(a)) and v_1 = (0, sqrt(s)), s = rho_gg - |rho_eg|^2 / a, clamped at
+    0 and dropped under _MEMBER_FLOOR. Any such split gives the same
+    reduced dynamics. On a pure field member k is one joint pure state
+    v_k (x) C, state k. On a photon-diagonal field member k splits into two:
+    its |e> part, sqrt(p_n) v_k,e on |e,n>, state 2k, and its |g> part,
+    sqrt(p_n) v_k,g on |g,n>, state 2k + 1. ``_check_solve`` on the rows
+    checks the solve's budgets, so a caller can refuse a case before
     anything runs.
     """
-    vals, vecs = np.linalg.eigh(atom.as_matrix())
-    if vals[0] < -1e-10:
-        raise InvalidInputError("atom state has a negative eigenvalue")
-    keep = vals > _EIGENWEIGHT_FLOOR
+    ee, gg, eg = float(atom.rho_ee), float(atom.rho_gg), complex(atom.rho_eg)
+    swap = gg > ee  # pivot on |g>: factor in the (g, e) basis
+    a, d, c = (gg, ee, eg.conjugate()) if swap else (ee, gg, eg)
+    top = math.sqrt(a)
+    residue = max(d - abs(c) ** 2 / a, 0.0)
+    members = [(top, c.conjugate() / top)]
+    if residue > _MEMBER_FLOOR:
+        members.append((0.0, math.sqrt(residue)))
+    v = np.array(members, dtype=complex)[:, ::-1 if swap else 1]
     pure = field.amplitudes is not None
     stride = 1 if pure else 2  # states per member: one joint state, or e and g
-    amp = np.sqrt(vals[keep])[:, None] * (
-        field.amplitudes if pure else np.sqrt(field.weights)
-    )
-    e0 = np.zeros((stride * amp.shape[0], field.n_max + 2), dtype=complex)
+    amp = field.amplitudes if pure else np.sqrt(field.weights)
+    e0 = np.zeros((stride * len(v), field.n_max + 2), dtype=complex)
     g0 = e0.copy()
-    e0[0::stride, :-1] = vecs[0, keep][:, None] * amp
-    g0[stride - 1 :: stride, :-1] = vecs[1, keep][:, None] * amp
+    e0[0::stride, :-1] = v[:, 0, None] * amp
+    g0[stride - 1 :: stride, :-1] = v[:, 1, None] * amp
     return _block_rows(e0, g0) + (g0[:, 0],)
 
 

@@ -339,10 +339,10 @@ def assert_oracle_refuses_before_running(tmp_path, capsys, monkeypatch, doc, bud
 
 
 def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # plus_x on thermal mean_n=2e4 integrates 1,105,269 pairs, whose 16
-    # stage vectors pass 2^24 values: refused before the closed form or the
-    # solver runs.
-    doc = dict(BASIC, atom="plus_x", field={"thermal": 2e4})
+    # plus_x on thermal mean_n=4e4 integrates one pair for each of its
+    # 1,105,255 photon blocks, whose 16 stage vectors pass 2^24 values:
+    # refused before the closed form or the solver runs.
+    doc = dict(BASIC, atom="plus_x", field={"thermal": 4e4})
     assert_oracle_refuses_before_running(
         tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES
     )
@@ -351,7 +351,7 @@ def test_oracle_over_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_sweep_over_oracle_budget_exits_2_before_its_first_case(
     tmp_path, capsys, monkeypatch
 ):
-    sweep = {"parameter": "mean_n", "values": [1, 2e4]}
+    sweep = {"parameter": "mean_n", "values": [1, 4e4]}
     doc = dict(BASIC, atom="plus_x", field={"thermal": 1}, sweep=sweep)
     assert_oracle_refuses_before_running(
         tmp_path, capsys, monkeypatch, doc, oracle.MAX_ORACLE_SAMPLES

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -65,6 +66,22 @@ def test_sinusoidal_area_period_and_peak():
     assert coupling_area(prof, period / 2.0) == pytest.approx(
         2.0 * 1.5 / (2 * 0.7), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [SinusoidalCoupling(1.0, 1.0), SinusoidalCoupling(1.5, 0.7, p=2)],
+    ids=["unit", "harmonic"],
+)
+def test_sinusoidal_area_keeps_relative_accuracy_near_zero(prof):
+    # lambda0 (1 - cos kt) / k at 40 digits: the area keeps its relative
+    # digits down to kt = 1e-10, where 1 - cos(kt) in doubles is all error.
+    with mpmath.workdps(40):
+        k = prof.p * mpmath.mpf(prof.zeta3)
+        for kt in np.geomspace(1e-10, 3.0, 41):
+            t = float(kt) / (prof.p * prof.zeta3)
+            exact = prof.lambda0 * (1 - mpmath.cos(k * t)) / k
+            assert abs(coupling_area(prof, t) - exact) <= 1e-15 * exact, kt
 
 
 def test_custom_interpolation_and_area():

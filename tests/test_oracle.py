@@ -183,7 +183,9 @@ def test_mixed_oracle_takes_pure_fields(field):
 def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
     # Block n pairs e0[n] with g0[n+1]; its complex row (c_e, c_g) holds the
     # real pairs (Re c_e, Im c_g) and (Re c_g, Im c_e), and a pair starting
-    # at (0, 0) stays there. The solver's float state holds 2 per pair.
+    # at (0, 0) stays there. The solver integrates one pair per photon block
+    # that holds a live pair, whatever the joint state: its float state
+    # holds 2 per such block.
     from jcdyn import oracle
 
     pairs = []
@@ -199,24 +201,21 @@ def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
     grid = np.linspace(0.0, 3.0, 7)
     thermal = thermal_weights(1.2)
     coherent = coherent_amplitudes(2.0)
-    # excited: only the |e> part of one real eigenvector, n = 0 .. n_max,
-    # and only Re c_e of each: one pair per block
+    # excited: only the |e> part of one member, n = 0 .. n_max, and only
+    # Re c_e of each: one live pair per block
     oracle_evolve_mixed(AtomDensityMatrix(1.0, 0.0, 0.0), thermal, CONST, grid)
-    # rank 2: eigh gives each eigenvector a real phi_e and a phi_g with both
-    # parts nonzero, so per eigenvector n_max + 1 |e> rows of one pair and
-    # n_max |g> rows of two
+    # rank 2: members (sqrt(0.7), conj(rho_eg) / sqrt(0.7)) and (0, sqrt(s)),
+    # whose |e> and |g> parts hold n_max + 1 rows of one live pair, n_max of
+    # two, none and n_max of one, all in blocks 0 .. n_max
     rank2 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
-    _, vecs = np.linalg.eigh(rank2.as_matrix())
-    assert np.all(vecs[0].imag == 0.0) and np.all(vecs[1].real * vecs[1].imag != 0)
+    _, rows, _ = oracle_rows(rank2, thermal)
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    assert np.count_nonzero(live) == thermal.n_max + 1 + 3 * thermal.n_max
     rhos = oracle_evolve_mixed(rank2, thermal, CONST, grid)
     # ground on a real alpha: Re c_g of each block; the top block pairs two
     # empty slots and is skipped
     states = oracle_evolve_pure(AtomState.ground(), coherent, CONST, grid)
-    assert pairs == [
-        thermal.n_max + 1,
-        2 * (thermal.n_max + 1 + 2 * thermal.n_max),
-        coherent.n_max,
-    ]
+    assert pairs == [thermal.n_max + 1, thermal.n_max + 1, coherent.n_max]
     ref = evolve_mixed(rank2, thermal, CONST, grid)
     assert np.max(np.abs(rhos.rho_eg - ref.rho_eg)) < 1e-9
     # the skipped block's slots stay empty, and so do the skipped pair
@@ -251,22 +250,28 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     grid = np.linspace(0.0, 3.0, 13)
     rhos = oracle_evolve_mixed(atom, field, SechCoupling(1.0, 0.2), grid)
     (((_, _, y0), _, _, samples),) = solves
-    _, rows, dark = oracle.oracle_rows(atom, field)
+    numbers, rows, dark = oracle.oracle_rows(atom, field)
     # Row r = (c_e, c_g) of block n of state s, r = s (n_max + 1) + n, holds
     # pair 0 (Re c_e, Im c_g) and pair 1 (Re c_g, Im c_e); the solver gets
-    # the pairs that start nonzero, row by row, as (p, q) floats.
+    # one pair (r_n, 0) per block n that holds a pair starting nonzero, in
+    # block order, r_n the norm of those pairs.
     live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
     r, j = np.nonzero(live)
-    np.testing.assert_array_equal(
-        y0, np.stack([rows.real[r, j], rows.imag[r, 1 - j]], axis=1).ravel()
-    )
+    p0, q0 = rows.real[r, j], rows.imag[r, 1 - j]
+    n, b = np.unique(numbers[r], return_inverse=True)
+    norms = [math.hypot(*p0[b == k], *q0[b == k]) for k in range(n.size)]
+    np.testing.assert_allclose(y0[0::2], norms, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(y0[1::2], 0.0)
     if (atom_name, field_name) == ("ground", "coherent"):
         # the top block pairs two empty slots
-        assert np.count_nonzero(live.any(axis=1)) == field.n_max
+        assert n.size == field.n_max
+    # Each pair z0 = p0 + i q0 follows its block's (P, Q) as (z0 / r_n)(P + i Q).
+    wr, wi = p0 / y0[2 * b], q0 / y0[2 * b]
+    big_p, big_q = samples[:, 2 * b], samples[:, 2 * b + 1]
     re = np.zeros((grid.size,) + rows.shape)
     im = np.zeros_like(re)
-    re[:, r, j] = samples[:, 0::2]
-    im[:, r, 1 - j] = samples[:, 1::2]
+    re[:, r, j] = big_p * wr - big_q * wi
+    im[:, r, 1 - j] = big_q * wr + big_p * wi
     blocks = (re + 1j * im).reshape(grid.size, dark.size, -1, 2)
     e = np.zeros((grid.size, dark.size, field.n_max + 2), dtype=complex)
     g = np.zeros_like(e)
@@ -297,7 +302,8 @@ ONE_PAIR_FIELDS = {
 
 def solver_rows_and_pairs(solves, atom, field):
     """Run the mixed oracle against the closed form; return the number of
-    block rows that start nonzero and the pairs in the solver's state."""
+    block rows that start nonzero, their live pairs, the photon blocks that
+    hold them and the pairs in the solver's state."""
     grid = np.linspace(0.0, 8.0, 33)
     profile = SechCoupling(1.0, 0.2)
     rhos = oracle_evolve_mixed(atom, field, profile, grid)
@@ -305,8 +311,14 @@ def solver_rows_and_pairs(solves, atom, field):
     assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
     (((_, _, y0), _, _, _),) = solves
     assert y0.dtype == float
-    _, rows, _ = oracle_rows(atom, field)
-    return np.count_nonzero(np.any(rows != 0, axis=1)), y0.size // 2
+    blocks, rows, _ = oracle_rows(atom, field)
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    return (
+        np.count_nonzero(np.any(rows != 0, axis=1)),
+        np.count_nonzero(live),
+        np.unique(blocks[np.any(live, axis=1)]).size,
+        y0.size // 2,
+    )
 
 
 @pytest.mark.parametrize("field_name", ONE_PAIR_FIELDS)
@@ -314,13 +326,18 @@ def solver_rows_and_pairs(solves, atom, field):
 def test_real_atom_on_diagonal_field_integrates_one_pair_per_row(
     atom_name, field_name, solves
 ):
-    # A real eigenvector on a photon-diagonal field starts each row as
-    # (real, 0) or (0, real): c_e stays real and c_g imaginary, or the
-    # other way round, so one real pair carries the row.
-    rows, pairs = solver_rows_and_pairs(
+    # A real member on a photon-diagonal field starts each row as (real, 0)
+    # or (0, real): c_e stays real and c_g imaginary, or the other way round,
+    # so one live pair carries the row. The solver integrates one pair per
+    # photon block, which plus_x's |e> and |g> parts share.
+    rows, live, blocks, pairs = solver_rows_and_pairs(
         solves, ONE_PAIR_ATOMS[atom_name], ONE_PAIR_FIELDS[field_name]
     )
-    assert rows > 0 and pairs == rows
+    field = ONE_PAIR_FIELDS[field_name]
+    assert rows > 0 and live == rows
+    # ground's |g,0> is dark, in no block
+    assert pairs == blocks == field.n_max + (atom_name != "ground")
+    assert rows == (2 * field.n_max + 1 if atom_name == "plus_x" else blocks)
 
 
 @pytest.mark.parametrize(
@@ -339,10 +356,13 @@ def test_real_atom_on_diagonal_field_integrates_one_pair_per_row(
     ids=["complex-atom-complex-alpha", "plus_x-real-alpha"],
 )
 def test_complex_start_rows_integrate_two_pairs(atom, field, spare, solves):
-    rows, pairs = solver_rows_and_pairs(
+    # Two live pairs per row, both followed through the one pair the solver
+    # integrates for the row's block.
+    rows, live, blocks, pairs = solver_rows_and_pairs(
         solves, AtomDensityMatrix.from_atom_state(atom), field
     )
-    assert rows > 0 and pairs == 2 * rows - spare
+    assert rows > 0 and live == 2 * rows - spare
+    assert pairs == blocks == rows == field.n_max + 1
 
 
 @pytest.mark.parametrize(
@@ -354,15 +374,18 @@ def test_complex_start_rows_integrate_two_pairs(atom, field, spare, solves):
     ids=["excited-one-pair", "complex-atom-two-pairs"],
 )
 def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
-    # DOP853 holds 16 stage vectors of the live pairs, each pair the bytes
-    # of one complex value: a count at the budget runs, one past it is
-    # refused before the first step.
+    # DOP853 holds 16 stage vectors of the integrated pairs, one per photon
+    # block with a live pair, however many live pairs the block's row holds,
+    # each the bytes of one complex value: a count at the budget runs, one
+    # past it is refused before the first step.
     from jcdyn import oracle
 
     rho = AtomDensityMatrix.from_atom_state(atom)
     field = coherent_amplitudes(1.2 + 0.9j if per_row == 2 else 1.2)
     _, rows, _ = oracle_rows(rho, field)
-    count = 16 * per_row * np.count_nonzero(np.any(rows != 0, axis=1))
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    assert np.all(np.count_nonzero(live, axis=1) == per_row)
+    count = 16 * len(rows)  # one state: a block per row
     grid = np.linspace(0.0, 1.0, 5)
     monkeypatch.setattr(oracle, "MAX_ORACLE_SAMPLES", count)
     oracle_evolve_mixed(rho, field, CONST, grid)
@@ -374,9 +397,9 @@ def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
     )
 
 
-# Peak of the case below: 4.1 MiB at 201 and at 2001 times, 4.6 MiB at
-# 20,001, where the three output columns and their conditioned copies take
-# the difference. Holding the samples took 16.4 MiB at 201 times and
+# Peak of the case below: 1.9 MiB at 201 times, 2.7 MiB at 20,001, where
+# the three output columns and their conditioned copies take the
+# difference. Holding the samples took 16.4 MiB at 201 times and
 # 140.9 MiB at 2001.
 MIXED_ORACLE_PEAK = 6 * 2**20
 
@@ -639,7 +662,10 @@ def test_mixed_oracle_starts_members_at_physical_amplitudes(monkeypatch):
     assert len(calls) == 1
     y0, sol = calls[0]
     p = thermal_weights(5.0).weights
-    assert y0.size == 2 * (2 * p.size - 1)  # 303 rows: e-member and g-member
+    # 303 rows, e-member and g-member, in 152 photon blocks: one pair each,
+    # starting at (r_n, 0)
+    assert y0.size == 2 * p.size
+    assert np.all(y0[1::2] == 0.0)
     # plus_x is one member, w = 1 and |phi_g|^2 = 1/2; |g,0> stays out of y0
     dark = 0.5 * p[0]
     assert abs(math.fsum(np.abs(y0) ** 2) + dark - math.fsum(p)) < 1e-14
@@ -664,17 +690,61 @@ def test_mixed_oracle_wide_thermal_field():
     assert table.max_oracle_deviation < 1e-9
 
 
-def _plain_rhs(blocks, profile, t_end):
-    """The block equation on complex rows written plainly: each row's
-    (e, g) pair reversed through a strided view, times its coefficient,
-    times the rate at the clamped time as a Python float."""
-    pair_coef = np.repeat(-1j * np.sqrt(np.asarray(blocks, dtype=float) + 1.0), 2)
+@pytest.mark.parametrize(
+    "atom",
+    [AtomState.plus_x(), AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j)],
+    ids=["plus_x", "complex-atom"],
+)
+def test_pure_oracle_wide_coherent_field(atom):
+    # alpha = 30 keeps 1,120 levels, and the amplitudes of the low blocks
+    # fall below 1e-154, whose squares underflow: a block norm summed from
+    # squares would be 0 there and give NaN.
+    field = coherent_amplitudes(30.0)
+    profile = SechCoupling(1.0, 0.3)
+    grid = np.linspace(0.0, 2.0, 41)
+    states = oracle_evolve_pure(atom, field, profile, grid)
+    ref = evolve_pure(atom, field, profile, grid)
+    assert np.max(np.abs(states.amps_e - ref.amps_e)) < 1e-9
+    assert np.max(np.abs(states.amps_g - ref.amps_g)) < 1e-9
 
-    def rhs(t, y):
-        rate = float(profile.rate(min(max(float(t), 0.0), t_end)))
-        return (pair_coef.reshape(-1, 2) * y.reshape(-1, 2)[:, ::-1]).ravel() * rate
 
-    return rhs
+FACTOR_ATOMS = {
+    "rank2-e-pivot": (AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j), 2),
+    "rank2-g-pivot": (AtomDensityMatrix(0.3, 0.7, 0.2 - 0.1j), 2),
+    "pure-complex": (
+        AtomDensityMatrix.from_atom_state(
+            AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j)
+        ),
+        1,
+    ),
+    "ground": (AtomDensityMatrix(0.0, 1.0, 0.0), 1),
+}
+
+
+@pytest.mark.parametrize("atom, members", FACTOR_ATOMS.values(), ids=FACTOR_ATOMS.keys())
+def test_atom_members_sum_to_the_density_matrix(atom, members):
+    # On the one-level field |0>, state k holds member v_k as (e_0, dark g_0),
+    # and sum_k v_k v_k^dagger is the atom; a pure atom is one member.
+    _, rows, dark = oracle_rows(atom, custom_distribution(amplitudes=[1.0]))
+    v = np.stack([rows[:, 0], dark], axis=1)
+    assert len(v) == members
+    assert np.max(np.abs(v.T @ v.conj() - atom.as_matrix())) < 1e-15
+
+
+@pytest.mark.parametrize("ee", [0.5, 1e-9])
+def test_mixed_oracle_runs_at_the_positivity_edge(ee):
+    # |rho_eg|^2 past rho_ee rho_gg by 0.99e-10, which the density matrix
+    # allows: the factor's Schur residue, -1.98e-10 at ee = 0.5, is clamped
+    # to 0, leaving one member, and the oracle runs as on a pure atom.
+    gg = 1.0 - ee
+    rho0 = AtomDensityMatrix(ee, gg, math.sqrt(ee * gg + 0.99e-10))
+    field = thermal_weights(1.2)
+    _, _, dark = oracle_rows(rho0, field)
+    assert dark.size == 2  # one member: its |e> and |g> parts
+    grid = np.linspace(0.0, 3.0, 13)
+    profile = SechCoupling(1.0, 0.2)
+    rhos = oracle_evolve_mixed(rho0, field, profile, grid)
+    assert max_gap(rhos, evolve_mixed(rho0, field, profile, grid)) < 1e-9
 
 
 def _plain_pair_rhs(k, profile, t_end):
@@ -712,11 +782,13 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
     ((args, _, _, _),) = solves
     rhs, (_, span_end), y0 = args
     assert span_end == t_end
-    # The pairs that start nonzero, row by row; each row's block sets k.
+    # One pair per photon block with a live pair, in block order; its
+    # block n sets k.
     blocks, rows, _ = oracle_rows(rho0, field)
-    r, _ = np.nonzero((rows.real != 0) | (rows.imag[:, ::-1] != 0))
-    assert y0.dtype == float and y0.size == 2 * r.size
-    plain = _plain_pair_rhs(np.sqrt(blocks[r] + 1.0), profile, t_end)
+    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    n = np.unique(blocks[np.any(live, axis=1)])
+    assert y0.dtype == float and y0.size == 2 * n.size
+    plain = _plain_pair_rhs(np.sqrt(n + 1.0), profile, t_end)
     rng = np.random.default_rng(7)
     times = [0.0, -0.0, 0.37, t_end, np.nextafter(0.0, -1.0), -1e-13,
              np.nextafter(t_end, 2.0), t_end + 1e-13]
@@ -730,11 +802,14 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
 @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: type(p).__name__)
 def test_rk4_steps_the_plain_expression_bit_for_bit(profile):
     # integrate_block's fixed-step RK4 shares the solver's right-hand side;
-    # a local RK4 over the plain expression gives the same bits.
-    n, initial, rk4_step = 2, np.array([0.6, 0.8j]), 0.07
+    # a local RK4 over the plain expression, on the block's one pair
+    # (r, 0), and the pair (Re c_e, Im c_g) = (0.6, 0.8) followed as
+    # (0.6 + 0.8 i) / r (P + i Q), give the same bits.
+    n, rk4_step = 2, 0.07
     grid = np.array([0.0, 0.25, 0.6, 1.0])
-    rhs = _plain_rhs([n], profile, grid[-1])
-    y = initial
+    rhs = _plain_pair_rhs(np.sqrt(n + 1.0), profile, grid[-1])
+    r = np.hypot(0.6, 0.8)
+    y = np.array([r, 0.0])
     expected = [y]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         m = max(1, math.ceil((t1 - t0) / rk4_step))
@@ -747,5 +822,11 @@ def test_rk4_steps_the_plain_expression_bit_for_bit(profile):
             k4 = rhs(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         expected.append(y)
-    traj = integrate_block(n, initial, profile, grid, rk4_step=rk4_step)
-    assert traj.tobytes() == np.array(expected).tobytes()
+    big_p, big_q = np.array(expected).T
+    wr, wi = 0.6 / r, 0.8 / r
+    # (Re c_e, Im c_e, Re c_g, Im c_g); the dead pair (Re c_g, Im c_e) stays 0
+    floats = np.zeros((grid.size, 4))
+    floats[:, 0] = big_p * wr - big_q * wi
+    floats[:, 3] = big_q * wr + big_p * wi
+    traj = integrate_block(n, (0.6, 0.8j), profile, grid, rk4_step=rk4_step)
+    assert traj.tobytes() == floats.tobytes()
