@@ -183,15 +183,20 @@ def _initial_amplitudes(atom: AtomState, field: PhotonDistribution):
     return e0, g0
 
 
-def _angles(area, k_min, k_end):
-    """Angles area * sqrt(k), k = k_min .. k_end - 1, one row per area; the
-    widest is checked first, so overflow raises before the product."""
+def _check_angles(area, k_top):
+    """Raise unless every angle area * sqrt(k), k <= k_top, is finite; the
+    widest is checked, so overflow raises before any angle is formed."""
     top = float(np.max(np.abs(area), initial=0.0))
-    if not math.isfinite(top * math.sqrt(k_end - 1)):
+    if not math.isfinite(top * math.sqrt(k_top)):
         raise InvalidInputError(
-            f"block angle A*sqrt(n+1) overflows at A = {top!r}, n = {k_end - 2}"
+            f"block angle A*sqrt(n+1) overflows at A = {top!r}, n = {k_top - 1}"
         )
-    return area[:, None] * np.sqrt(np.arange(k_min, k_end))
+
+
+def _kernel_rows(field):
+    """Times in one row block of ``_reduced_sums`` on ``field``: at most
+    _BLOCK_ELEMENTS (time, angle) entries, one time at least."""
+    return max(1, _BLOCK_ELEMENTS // (field.weights.size + 1))
 
 
 def _rotate_blocks(e0, g0, area):
@@ -200,7 +205,8 @@ def _rotate_blocks(e0, g0, area):
     Block n mixes e0[n] with g0[n+1], the off-diagonal picking up -i; the
     dark amplitude g0[0] stays put and the top slot of e stays empty.
     """
-    theta = _angles(area, 1.0, e0.size)
+    _check_angles(area, e0.size - 1)
+    theta = area[:, None] * np.sqrt(np.arange(1.0, e0.size))
     c = np.cos(theta)
     s = np.sin(theta)
     e_re, e_im = e0.real[:-1], e0.imag[:-1]
@@ -219,16 +225,17 @@ def _rotate_blocks(e0, g0, area):
     return e, g
 
 
-def _cos_sin(theta):
+def _cos_sin(theta, out=None):
     """(cos theta, sin theta) from one tan(theta/2), written into theta's
-    buffer and one more: c = 2/(1+t^2) - 1, s = 2t/(1+t^2).
+    buffer and ``out`` (a new array if None): c = 2/(1+t^2) - 1,
+    s = 2t/(1+t^2).
 
     One tan costs a fraction of a cos and a sin. Angle 0 gives exactly
     (1, 0), and t^2 cannot overflow: tan of a finite double stays far
     below 1e154.
     """
     t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    c = np.square(t)
+    c = np.square(t, out=out)
     c += 1.0
     np.divide(2.0, c, out=c)
     s = np.multiply(t, c, out=t)
@@ -236,14 +243,17 @@ def _cos_sin(theta):
     return c, s
 
 
-# Block trig products, lo for block n-1 and hi for block n; each is 0 at area 0.
+# Block trig products, lo for block n-1 and hi for block n; each is 0 at
+# area 0, and each is written into the buffer ``out`` it is given.
 _PRODUCTS = {
-    "s_hi^2": lambda c_lo, c_hi, s_lo, s_hi: s_hi * s_hi,
-    "1-c_lo*c_hi": lambda c_lo, c_hi, s_lo, s_hi: 1.0 - c_lo * c_hi,
-    "c_hi*s_hi": lambda c_lo, c_hi, s_lo, s_hi: c_hi * s_hi,
-    "c_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi: c_hi * s_lo,
-    "s_hi*c_lo": lambda c_lo, c_hi, s_lo, s_hi: s_hi * c_lo,
-    "s_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi: s_hi * s_lo,
+    "s_hi^2": lambda c_lo, c_hi, s_lo, s_hi, out: np.multiply(s_hi, s_hi, out),
+    "1-c_lo*c_hi": lambda c_lo, c_hi, s_lo, s_hi, out: np.subtract(
+        1.0, np.multiply(c_lo, c_hi, out), out
+    ),
+    "c_hi*s_hi": lambda c_lo, c_hi, s_lo, s_hi, out: np.multiply(c_hi, s_hi, out),
+    "c_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi, out: np.multiply(c_hi, s_lo, out),
+    "s_hi*c_lo": lambda c_lo, c_hi, s_lo, s_hi, out: np.multiply(s_hi, c_lo, out),
+    "s_hi*s_lo": lambda c_lo, c_hi, s_lo, s_hi, out: np.multiply(s_hi, s_lo, out),
 }
 
 
@@ -255,7 +265,8 @@ def _reduced_sums(rho, field, area):
     @ weight) for each of its terms, eg's real and imaginary parts apart. The
     weights come from p_n and, for a pure field, f_n = C_n conj(C_(n-1)) and
     h_n = C_(n+1) conj(C_(n-1)); a term whose scale or weight is all 0 is
-    dropped. ``area`` is 1-D, taken in row blocks of ``_BLOCK_ELEMENTS``.
+    dropped. ``area`` is 1-D, taken in row blocks of ``_kernel_rows`` times
+    that share three block buffers.
     """
     p, total = field.weights, field.weights.sum()
     ee_0, gg_0, eg_0 = rho.rho_ee, rho.rho_gg, rho.rho_eg
@@ -277,14 +288,21 @@ def _reduced_sums(rho, field, area):
         }
     kept = [(k, [u for u in us if u[1] != 0 and u[2].any()]) for k, us in terms.items()]
     kept = [(kind, uses) for kind, uses in kept if uses]
-    rows = max(1, _BLOCK_ELEMENTS // (p.size + 1))
+    _check_angles(area, p.size)
+    root = np.sqrt(np.arange(0.0, p.size + 1))  # angle k is area * sqrt(k)
+    rows = _kernel_rows(field)
+    # One row block's angles (then tan(theta/2), then sin), cosines and
+    # product, allocated once and reused by every row block.
+    theta = np.empty((min(rows, area.size), p.size + 1))
+    cos = np.empty_like(theta)
+    prod = np.empty((len(theta), p.size))
     for i in range(0, area.size, rows):
-        c, s = _cos_sin(_angles(area[i : i + rows], 0.0, p.size + 1))
+        n = min(rows, area.size - i)
+        c, s = _cos_sin(np.multiply(area[i : i + n, None], root, theta[:n]), cos[:n])
         for kind, uses in kept:
-            m = _PRODUCTS[kind](c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:])
+            m = _PRODUCTS[kind](c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:], prod[:n])
             for column, scale, weight in uses:
-                column[i : i + rows] += scale * (m @ weight)
-            del m  # at most one product is alive at a time
+                column[i : i + n] += scale * (m @ weight)
     return ee, (ee_0 + gg_0) * total - ee, eg
 
 

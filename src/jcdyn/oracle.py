@@ -99,7 +99,8 @@ def _live_pairs(blocks, rows):
 def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     """Check a solve of the complex block rows ``rows`` (B, 2), of block
     numbers ``blocks``, over ``t_grid`` before its first step; returns the
-    grid.
+    grid and the rows' live pairs (``_live_pairs``), which
+    ``_integrate_stack`` follows.
 
     The grid is checked as a time is (``_as_times``), and must be a
     non-empty 1-D array that starts at 0 and rises strictly. The stages
@@ -118,11 +119,11 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
-    live_blocks = _live_pairs(blocks, rows)[2]
+    live = _live_pairs(blocks, rows)
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
-        top = np.max(live_blocks, initial=0)
+        top = np.max(live[2], initial=0)
         rate = np.abs(lambda_at(profile, grid))
         with np.errstate(over="ignore"):
             phase = math.sqrt(top + 1.0) * np.sum((rate[1:] + rate[:-1]) * gaps) / 2
@@ -135,17 +136,17 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
         raise InvalidInputError(
             f"oracle needs {steps:.7g} steps, over the budget of {MAX_ORACLE_STEPS}"
         )
-    return grid
+    return grid, live
 
 
-def _integrate_stack(blocks, rows, profile, grid, consume, rk4_step=None):
+def _integrate_stack(rows, live, profile, grid, consume, rk4_step=None):
     """Evolve stacked block rows, handing their samples to ``consume``.
 
-    Row i of the complex (B, 2) ``rows`` holds the (e, g) pair of block
-    ``blocks[i]``, obeying i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e),
-    on a ``grid`` already checked by ``_check_solve`` with the same
-    ``rk4_step``. One real pair per block n that holds a live pair
-    (``_live_pairs``) starts at (r_n, 0), r_n the norm of the block's live
+    Row i of the complex (B, 2) ``rows`` holds the (e, g) pair of its block
+    n, obeying i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e); ``grid``
+    and ``live``, the rows' live pairs, are what ``_check_solve`` returned
+    for them with the same ``rk4_step``. One real pair per block n that
+    holds a live pair starts at (r_n, 0), r_n the norm of the block's live
     pairs, and these are stepped as one float vector, by DOP853, or with
     ``rk4_step`` set, by fixed-step RK4 subdividing each grid interval
     evenly into steps of at most that size. Each run of grid times
@@ -157,7 +158,7 @@ def _integrate_stack(blocks, rows, profile, grid, consume, rk4_step=None):
     handed to ``consume(start, samples)`` as soon as it is complete; its
     buffers are then reused.
     """
-    i, j, n, b = _live_pairs(blocks, rows)
+    i, j, n, b = live
     zr, zi = rows.real[i, j], rows.imag[i, 1 - j]
     # Each block's norm, summed by hypot: squares of the far tails of a
     # wide field underflow.
@@ -271,13 +272,13 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
     blocks, rows = np.array([n]), pair[None]
-    grid = _check_solve(profile, t_grid, blocks, rows, rk4_step)
+    grid, live = _check_solve(profile, t_grid, blocks, rows, rk4_step)
     out = np.empty((grid.size, 2), dtype=complex)
 
     def consume(start, samples):
         out[start : start + len(samples)] = samples[:, 0]
 
-    _integrate_stack(blocks, rows, profile, grid, consume, rk4_step)
+    _integrate_stack(rows, live, profile, grid, consume, rk4_step)
     return out
 
 
@@ -306,7 +307,7 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     e0, g0 = _initial_amplitudes(atom, field)
     blocks, rows = _block_rows(e0[None], g0[None])
-    grid = _check_solve(profile, t_grid, blocks, rows)
+    grid, live = _check_solve(profile, t_grid, blocks, rows)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
@@ -316,7 +317,7 @@ def oracle_evolve_pure(
         e[start:stop, :-1] = samples[:, :, 0]
         g[start:stop, 1:] = samples[:, :, 1]
 
-    _integrate_stack(blocks, rows, profile, grid, consume)
+    _integrate_stack(rows, live, profile, grid, consume)
     return JointPureState(e, g, grid)
 
 
@@ -372,7 +373,7 @@ def oracle_evolve_mixed(
     of AtomDensityMatrix, one row per grid time.
     """
     blocks, rows, dark = oracle_rows(atom, field)
-    grid = _check_solve(profile, t_grid, blocks, rows)
+    grid, live = _check_solve(profile, t_grid, blocks, rows)
     stride = 1 if field.amplitudes is not None else 2
     # rho_eg pairs e_n of state s, s % stride == 0, with g_n of state
     # s + stride - 1: block n's e with block n - 1's g, and for n = 0 the
@@ -394,7 +395,7 @@ def oracle_evolve_mixed(
         eg[start:stop] = np.sum(e[:, :, 1:] * g.conj(), axis=(1, 2))
         eg[start:stop] += e[:, :, 0] @ g_dark
 
-    _integrate_stack(blocks, rows, profile, grid, reduce)
+    _integrate_stack(rows, live, profile, grid, reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(ee, gg, eg)

@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .coupling import PROFILES, check_parameter, scalar_fields
-from .dynamics import AtomDensityMatrix, AtomState, evolve_mixed
+from .dynamics import AtomDensityMatrix, AtomState, _kernel_rows, evolve_mixed
 from .errors import InvalidInputError, ScenarioError, as_numbers
 from .fields import (
     DEFAULT_TAIL_EPSILON,
@@ -62,6 +62,12 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 # 32 MiB per float column of the result table), checked at parse time
 # before the grid is allocated.
 MAX_STEPS = 2**22
+
+# Rows of one case that ``run`` evaluates at once, rounded down to a whole
+# number of the kernel's row blocks (one at least), so every row block and
+# its bits are those of the whole grid. A time block's columns and their
+# temporaries take a few MiB beside the table.
+_TIME_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -449,17 +455,18 @@ def _observable_columns(outputs, rho, xi):
     return cols
 
 
-def _evolve_case(scenario, rho0, dist, profile, grid):
-    """Observable columns of one case, each with a ``dev_`` companion
-    appended when the oracle checks the case."""
+def _evolve_case(scenario, rho0, dist, profile, times, ref):
+    """Observable columns of one case at ``times``, each with a ``dev_``
+    companion against ``ref``, the oracle's states at those times, unless
+    ``ref`` is None."""
     mass = dist.weights.sum()  # rho is divided by this, so xi = mass * conj(rho_eg)
 
     def columns(rho):
         return _observable_columns(scenario.outputs, rho, mass * np.conj(rho.rho_eg))
 
-    cols = columns(evolve_mixed(rho0, dist, profile, grid))
-    if scenario.oracle_check:
-        ref = columns(oracle_evolve_mixed(rho0, dist, profile, grid))
+    cols = columns(evolve_mixed(rho0, dist, profile, times))
+    if ref is not None:
+        ref = columns(ref)
         cols.update({f"dev_{k}": np.abs(cols[k] - ref[k]) for k in ref})
     return cols
 
@@ -467,12 +474,14 @@ def _evolve_case(scenario, rho0, dist, profile, grid):
 def run(scenario: Scenario) -> ResultTable:
     """Evaluate a scenario into a flat table, sweeps stacked lengthwise.
 
-    Each case takes one batched closed-form call over the whole time grid,
-    and sweep cases run one after another, so rows assemble in
-    sweep-value-then-time order. With ``oracle_check`` set, each observable
-    column gains a ``dev_`` companion holding the absolute gap to the
-    reference integrator, and every case is checked against the oracle's
-    budgets before the first one runs.
+    Sweep cases run one after another, so rows assemble in
+    sweep-value-then-time order. Each case runs in time blocks of
+    _TIME_BLOCK rows, each written straight into its rows of the table, so
+    a run holds the table and one time block. With ``oracle_check`` set,
+    each observable column gains a ``dev_`` companion holding the absolute
+    gap to the reference integrator, whose reduced states (4 floats a row)
+    are held for the whole grid of one case, and every case is checked
+    against the oracle's budgets before the first one runs.
     """
     grid = np.linspace(0.0, scenario.t_end, scenario.steps)
     if scenario.sweep is None:
@@ -490,24 +499,41 @@ def run(scenario: Scenario) -> ResultTable:
         for _, dist, profile in cases:
             _check_solve(profile, grid, *oracle_rows(rho0, dist)[:2])
 
-    blocks = []
-    for value, dist, profile in cases:
-        cols = _evolve_case(scenario, rho0, dist, profile, grid)
-        arrays = [grid, *cols.values()]
-        if value is not None:
-            arrays.insert(0, np.full(grid.size, value))
-        blocks.append(np.column_stack(arrays))
+    lead = ("t",) if scenario.sweep is None else ("sweep_value", "t")
+    data = None
+    for case, (value, dist, profile) in enumerate(cases):
+        oracle = None
+        if scenario.oracle_check:
+            oracle = oracle_evolve_mixed(rho0, dist, profile, grid)
+        rows = _kernel_rows(dist)
+        step = rows * max(1, _TIME_BLOCK // rows)
+        for start in range(0, grid.size, step):
+            stop = min(start + step, grid.size)
+            ref = None
+            if oracle is not None:
+                ref = AtomDensityMatrix(
+                    oracle.rho_ee[start:stop],
+                    oracle.rho_gg[start:stop],
+                    oracle.rho_eg[start:stop],
+                )
+            times = grid[start:stop]
+            cols = _evolve_case(scenario, rho0, dist, profile, times, ref)
+            if data is None:
+                columns = lead + tuple(cols)
+                data = np.empty((len(cases) * grid.size, len(columns)))
+            arrays = [times, *cols.values()]
+            if value is not None:
+                arrays.insert(0, value)
+            block = data[case * grid.size + start : case * grid.size + stop]
+            for j, column in enumerate(arrays):
+                block[:, j] = column
 
-    data = np.concatenate(blocks, axis=0)
-    columns = ("t",) + tuple(cols)
-    sweep_parameter = None
-    if scenario.sweep is not None:
-        sweep_parameter = scenario.sweep.parameter
-        columns = ("sweep_value",) + columns
-    dev = [i for i, name in enumerate(columns) if name.startswith("dev_")]
+    sweep_parameter = None if scenario.sweep is None else scenario.sweep.parameter
+    # Column by column: data[:, dev] would copy every dev_ column.
+    dev = [data[:, j].max() for j, name in enumerate(columns) if name.startswith("dev_")]
     return ResultTable(
         columns=columns,
         data=data,
         sweep_parameter=sweep_parameter,
-        max_oracle_deviation=float(data[:, dev].max()) if dev else None,
+        max_oracle_deviation=float(np.max(dev)) if dev else None,
     )

@@ -34,8 +34,16 @@ from jcdyn import (
     thermal_weights,
     von_neumann_entropy,
 )
-from jcdyn import dynamics
-from jcdyn.scenario import AtomSpec, FieldSpec
+import jcdyn.scenario as scenario_module
+from jcdyn import dynamics, oracle_evolve_mixed
+from jcdyn.scenario import (
+    DEFAULT_OUTPUTS,
+    AtomSpec,
+    FieldSpec,
+    SweepSpec,
+    _observable_columns,
+    _sweep_case,
+)
 
 PROFILES = (
     ConstantCoupling(1.0),
@@ -227,6 +235,125 @@ def test_kernel_weights_cost_no_memory_per_term(build, bound_mib):
         tracemalloc.stop()
     assert rho.rho_ee.shape == (3,)
     assert peak < bound_mib * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "field, outputs, width",
+    (
+        (FieldSpec(kind="coherent", alpha=1.0), DEFAULT_OUTPUTS, 7),
+        (FieldSpec(kind="thermal", mean_n=2.0), DEFAULT_OUTPUTS + ("eigenvalues",), 9),
+    ),
+    ids=("coherent", "thermal"),
+)
+def test_run_holds_its_table_and_one_time_block(field, outputs, width):
+    # 2^18 rows make a 14 or 18 MiB table. run writes each time block into
+    # its rows of the table, so beside the table it holds the grid (2 MiB)
+    # and one time block's columns. Evolving every column over the whole
+    # grid and stacking them peaked at 42 and 54 MiB.
+    scenario = Scenario(
+        atom=AtomSpec(kind="plus_x"),
+        field=field,
+        profile=SechCoupling(1.0, 0.1),
+        t_end=400.0,
+        steps=2**18,
+        outputs=outputs,
+    )
+    tracemalloc.start()
+    try:
+        table = run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.data.shape == (2**18, width)
+    assert peak <= table.data.nbytes + 8 * 2**20, peak
+
+
+def whole_grid_columns(scenario, field, profile, oracle=False):
+    """One case's table columns with every layer called once on the whole
+    grid, and the ``dev_`` columns against the oracle if ``oracle``."""
+    grid = np.linspace(0.0, scenario.t_end, scenario.steps)
+    dist = field.build(scenario.tail_epsilon)
+    rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
+    mass = dist.weights.sum()
+
+    def columns(rho):
+        return _observable_columns(scenario.outputs, rho, mass * np.conj(rho.rho_eg))
+
+    cols = {"t": grid, **columns(evolve_mixed(rho0, dist, profile, grid))}
+    if oracle:
+        ref = columns(oracle_evolve_mixed(rho0, dist, profile, grid))
+        cols.update({f"dev_{k}": np.abs(cols[k] - ref[k]) for k in ref})
+    return dist, cols
+
+
+def assert_table_has_whole_grid_bits(scenario, min_blocks):
+    """Check run's table column by column, byte for byte, against
+    ``whole_grid_columns`` of each case, whose grid spans at least
+    ``min_blocks`` time blocks of run."""
+    table = run(scenario)
+    values = (None,) if scenario.sweep is None else scenario.sweep.values
+    for case, value in enumerate(values):
+        field, profile = scenario.field, scenario.profile
+        if value is not None:
+            field, profile = _sweep_case(scenario, value)
+        dist, cols = whole_grid_columns(scenario, field, profile, scenario.oracle_check)
+        rows = dynamics._kernel_rows(dist)
+        step = rows * max(1, scenario_module._TIME_BLOCK // rows)
+        assert math.ceil(scenario.steps / step) >= min_blocks
+        part = table.data[case * scenario.steps : (case + 1) * scenario.steps]
+        if value is not None:
+            assert table.columns[0] == "sweep_value" and np.all(part[:, 0] == value)
+        assert table.columns[-len(cols) :] == tuple(cols)
+        for j, name in enumerate(cols, start=len(table.columns) - len(cols)):
+            assert part[:, j].tobytes() == cols[name].tobytes(), (value, name)
+    return table
+
+
+@pytest.mark.parametrize(
+    "field, sweep",
+    (
+        (FieldSpec(kind="coherent", alpha=3.0 + 1.0j), None),
+        (FieldSpec(kind="thermal", mean_n=2.0), SweepSpec("mean_n", (2.0, 50.0))),
+    ),
+    ids=("coherent", "thermal-sweep"),
+)
+def test_run_time_blocks_give_the_whole_grid_bits(field, sweep):
+    # 40,001 times span 3 time blocks on every case; the sweep's two cases
+    # have 69 and 1,396 levels, so different row blocks and time blocks.
+    scenario = Scenario(
+        atom=ATOMS[2],
+        field=field,
+        profile=SinusoidalCoupling(1.0, 0.1, p=1),
+        t_end=100.0,
+        steps=40001,
+        outputs=ALL_OUTPUTS + (("coherence",) if field.is_pure else ()),
+        sweep=sweep,
+    )
+    assert_table_has_whole_grid_bits(scenario, min_blocks=3)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_run_time_blocks_of_one_row_block_give_the_whole_grid_bits(
+    monkeypatch, field
+):
+    # Row blocks of 3 times and time blocks of one row block: 23 times span
+    # 8 time blocks, the last partial, and the oracle's states are cut at
+    # each block's rows.
+    n_levels = field.build(1e-12).n_max + 2
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 3 * n_levels)
+    monkeypatch.setattr(scenario_module, "_TIME_BLOCK", 1)
+    scenario = Scenario(
+        atom=ATOMS[2],
+        field=field,
+        profile=PROFILES[4],
+        t_end=12.0,
+        steps=23,
+        outputs=ALL_OUTPUTS,
+        oracle_check=True,
+    )
+    table = assert_table_has_whole_grid_bits(scenario, min_blocks=8)
+    dev = [j for j, name in enumerate(table.columns) if name.startswith("dev_")]
+    assert table.max_oracle_deviation == np.max(table.data[:, dev])
 
 
 def raised(factory):

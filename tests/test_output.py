@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -192,6 +194,34 @@ def test_golden_svg_regression(tmp_path):
     path = tmp_path / "golden.svg"
     emit_svg(table, ["W", "S"], path)
     assert path.read_bytes() == (DATA / "inversion_entropy.svg").read_bytes()
+
+
+def test_svg_escapes_match_html_escape():
+    # The labels are escaped with one translate table: every printable
+    # ASCII string of up to 2 characters, and random strings that mix in
+    # whitespace, non-ASCII and ready-made entities, escape as html.escape
+    # escapes them.
+    import html
+    import random
+
+    printable = [chr(c) for c in range(32, 127)]
+    strings = ["", *printable, *(a + b for a in printable for b in printable)]
+    rng = random.Random(5)
+    alphabet = printable + ["\t", "\n", "é", "→", " ", "&amp;", "&#39;"]
+    strings += ["".join(rng.choices(alphabet, k=rng.randrange(60))) for _ in range(2000)]
+    for s in strings:
+        assert s.translate(output._ESCAPES) == html.escape(s), s
+
+
+def test_cli_import_loads_no_html_module():
+    # html.escape would load html.entities, a table of every named
+    # character, into each run.
+    code = "import sys, jcdyn.cli; print(sorted(m for m in sys.modules if 'html' in m))"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(output.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def _timeout(signum, frame):
