@@ -30,8 +30,8 @@ _RHO_TOL = 1e-10
 
 # Most (time, level) entries the reduced-atom kernel holds at once, about
 # 1 MB per complex temporary however wide the field; a field with more
-# levels than half of it takes one time point per block. The oracle reduces
-# its (time, sample) rows in blocks of the same budget.
+# levels than half of it takes one time point per block. The oracle takes
+# its (time, sample) blocks from the same budget.
 _BLOCK_ELEMENTS = 2**16
 
 

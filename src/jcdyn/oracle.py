@@ -16,14 +16,18 @@ solver therefore integrates one pair per photon block that holds a pair
 starting nonzero, r that block's norm over all such pairs of all the joint
 states of a run; a pair that starts at (0, 0) stays there. These pairs are
 stacked into one flat real state vector, so the solver is called once per
-trajectory, and its samples come back in time blocks, spread back onto
-the complex block rows through reused buffers. ``oracle_evolve_mixed``
-takes any atom on any field, as ``evolve_mixed`` does, and returns the
-reduced atom, summed in time blocks as the solver hands the samples over,
-so that it holds the solver's working set and one time block, whatever the
-number of grid times. ``oracle_evolve_pure`` returns the joint state of a
-pure atom on a pure field, copying each time block into it. Both evolve
-joint pure states through one helper, and every block starts at its
+trajectory, and its samples come back in time blocks of one reused
+buffer. Every amplitude is a fixed linear function of its block's
+samples, c_e = alpha P + beta Q and c_g = gamma P + delta Q, with
+coefficients formed once per solve, so no complex row is built from the
+samples. ``oracle_evolve_mixed`` takes any atom on any field, as
+``evolve_mixed`` does, and returns the reduced atom, summed through a
+table of products of the samples in time blocks as the solver hands them
+over, so that it holds the solver's working set, per-block weights and one
+time block, whatever the number of grid times. ``oracle_evolve_pure``
+returns the joint state of a pure atom on a pure field, writing each time
+block into it. Both evolve joint pure states through one helper, and
+every block starts at its
 physical amplitude, for atom member v_k (rho = sum_k v_k v_k^dagger):
 v_k C_n on a pure field, sqrt(p_n) v_k on a photon-diagonal one. So the
 solver tolerances act alike on every field.
@@ -139,24 +143,20 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     return grid, live
 
 
-def _integrate_stack(rows, live, profile, grid, consume, rk4_step=None):
-    """Evolve stacked block rows, handing their samples to ``consume``.
+def _coefficients(rows, live):
+    """The solver's start norms and each row's amplitudes as fixed linear
+    functions of its block's samples, for the live pairs ``live`` of the
+    complex (B, 2) ``rows`` (``_live_pairs``): returns (r, coef).
 
-    Row i of the complex (B, 2) ``rows`` holds the (e, g) pair of its block
-    n, obeying i (d/dt)(c_e, c_g) = lambda(t) sqrt(n+1) (c_g, c_e); ``grid``
-    and ``live``, the rows' live pairs, are what ``_check_solve`` returned
-    for them with the same ``rk4_step``. One real pair per block n that
-    holds a live pair starts at (r_n, 0), r_n the norm of the block's live
-    pairs, and these are stepped as one float vector, by DOP853, or with
-    ``rk4_step`` set, by fixed-step RK4 subdividing each grid interval
-    evenly into steps of at most that size. Each run of grid times
-    start..stop-1 that fills a block of _BLOCK_ELEMENTS entries (one time at
-    least; a time takes two per row, one per block and one per live pair),
-    and the rest at the end, is checked finite; each live pair z0 = p0 + i q0
-    of block n is then (z0 / r_n) (P_n + i Q_n), written into
-    (stop - start, B, 2) complex samples, whose dead pairs stay 0, and
-    handed to ``consume(start, samples)`` as soon as it is complete; its
-    buffers are then reused.
+    Block n's integrated pair (P, Q) starts at (r, 0), r the norm of the
+    block's live pairs, so a live pair z0 = p0 + i q0 of it is
+    (wr P - wi Q, wi P + wr Q), wr + i wi = z0 / r. Row i's amplitudes are
+    then c_e = alpha P + beta Q and c_g = gamma P + delta Q, ``coef`` the
+    complex (4, B) (alpha, beta, gamma, delta): pair 0, (Re c_e, Im c_g),
+    adds (wr, -wi) to the real parts of (alpha, beta) and (wi, wr) to the
+    imaginary parts of (gamma, delta); pair 1, (Re c_g, Im c_e), adds the
+    same to the real parts of (gamma, delta) and the imaginary parts of
+    (alpha, beta). A dead pair adds nothing.
     """
     i, j, n, b = live
     zr, zi = rows.real[i, j], rows.imag[i, 1 - j]
@@ -166,40 +166,44 @@ def _integrate_stack(rows, live, profile, grid, consume, rk4_step=None):
     np.hypot.at(r, b, zr)
     np.hypot.at(r, b, zi)
     wr, wi = zr / r[b], zi / r[b]
+    coef = np.zeros((4, len(rows), 2))  # (real, imaginary) parts
+    coef[2 * j, i, 0] = wr
+    coef[2 * j + 1, i, 0] = -wi
+    coef[2 - 2 * j, i, 1] = wi
+    coef[3 - 2 * j, i, 1] = wr
+    return r, coef.view(complex)[..., 0]
+
+
+def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
+    """Evolve one real pair per photon block, handing its samples to
+    ``consume``.
+
+    Block n's pairs obey (p, q)' = lambda(t) sqrt(n+1) (q, -p). The pair
+    (P_b, Q_b) of block n_b, ``n`` and ``r`` as ``_check_solve`` and
+    ``_coefficients`` gave them, starts at (r_b, 0), and these are stepped
+    as one float vector, by DOP853, or with ``rk4_step`` set, by fixed-step
+    RK4 subdividing each grid interval evenly into steps of at most that
+    size. Each run of grid times start..stop-1 that fills a block of
+    _BLOCK_ELEMENTS entries (one time at least), and the rest at the end,
+    is checked finite and handed to ``consume(start, P, Q)`` as soon as it
+    is complete, P and Q the (stop - start, len(n)) views of the samples;
+    their buffer is then reused.
+    """
     y0 = np.zeros(2 * n.size)
     y0[0::2] = r
     coef = (np.sqrt(n + 1.0)[:, None] * [1.0, -1.0]).ravel()
-    # Where each pair's p and q go in a time's (B, 2) complex samples viewed
-    # as 4 B floats: pair (i, j) is (Re rows[i, j], Im rows[i, 1 - j]).
-    p_places, q_places = 4 * i + 2 * j, 4 * i + 3 - 2 * j
-    p_cols, q_cols = 2 * b, 2 * b + 1  # its block's P and Q in a sample
-    per_time = 2 * len(rows) + n.size + i.size
-    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, per_time)))
+    # A time takes two of the _BLOCK_ELEMENTS entries per pair: its samples
+    # (two floats, the bytes of one complex value), and as much again for
+    # what the consumer forms from them.
+    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, 2 * n.size)))
     buf = np.empty((size, y0.size))
-    out = np.zeros((size, len(rows), 2), dtype=complex)
-    floats = out.view(float).reshape(size, -1)
-    terms = np.empty((2, size, i.size))
     first = 0  # grid index of buf[0]
-
-    def spread(m, places, x, y, op):
-        # op(wr x, wi y) for each live pair, x and y its block's P or Q
-        # columns; float products, not a complex one, whose bits would
-        # depend on the time block's length.
-        u, v = terms[0, :m], terms[1, :m]
-        np.take(buf[:m], x, axis=1, out=u)
-        u *= wr
-        np.take(buf[:m], y, axis=1, out=v)
-        v *= wi
-        op(u, v, out=u)
-        floats[:m, places] = u
 
     def flush(stop):
         m = stop - first
         if not all_finite(buf[:m]):
             raise NumericalFailureError("reference integrator produced non-finite values")
-        spread(m, p_places, p_cols, q_cols, np.subtract)
-        spread(m, q_places, q_cols, p_cols, np.add)
-        consume(first, out[:m])
+        consume(first, buf[:m, 0::2], buf[:m, 1::2])
 
     def sink(start, stop):
         nonlocal first
@@ -215,6 +219,36 @@ def _integrate_stack(rows, live, profile, grid, consume, rk4_step=None):
     else:
         _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink)
     flush(grid.size)
+
+
+def _write_amplitudes(live, coef, e, g):
+    """A ``consume`` for ``_integrate_stack`` that writes row i's
+    amplitudes, as ``_coefficients`` gives them for the live pairs
+    ``live``, into column i of the complex (T, B) ``e`` and ``g`` at the
+    sampled times; the parts of a dead pair are left as they are. Each part
+    is x P + y Q formed with float products, not a complex one, whose bits
+    would depend on the time block's length."""
+    i, j, _, b = live
+    alpha, beta, gamma, delta = coef
+    parts = []
+    # pair 0 is (Re c_e, Im c_g), pair 1 (Re c_g, Im c_e)
+    for pair, out, x, y in (
+        (0, e.real, alpha.real, beta.real),
+        (0, g.imag, gamma.imag, delta.imag),
+        (1, g.real, gamma.real, delta.real),
+        (1, e.imag, alpha.imag, beta.imag),
+    ):
+        rows, cols = i[j == pair], b[j == pair]
+        parts.append((out, rows, cols, x[rows], y[rows]))
+
+    def consume(start, big_p, big_q):
+        stop = start + len(big_p)
+        for out, rows, cols, x, y in parts:
+            u = big_p[:, cols] * x
+            u += big_q[:, cols] * y
+            out[start:stop, rows] = u
+
+    return consume
 
 
 def _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink):
@@ -273,12 +307,10 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
         raise InvalidInputError("initial must be a pair of amplitudes")
     blocks, rows = np.array([n]), pair[None]
     grid, live = _check_solve(profile, t_grid, blocks, rows, rk4_step)
-    out = np.empty((grid.size, 2), dtype=complex)
-
-    def consume(start, samples):
-        out[start : start + len(samples)] = samples[:, 0]
-
-    _integrate_stack(rows, live, profile, grid, consume, rk4_step)
+    r, coef = _coefficients(rows, live)
+    out = np.zeros((grid.size, 2), dtype=complex)
+    consume = _write_amplitudes(live, coef, out[:, :1], out[:, 1:])
+    _integrate_stack(live[2], r, profile, grid, consume, rk4_step)
     return out
 
 
@@ -308,16 +340,12 @@ def oracle_evolve_pure(
     e0, g0 = _initial_amplitudes(atom, field)
     blocks, rows = _block_rows(e0[None], g0[None])
     grid, live = _check_solve(profile, t_grid, blocks, rows)
+    r, coef = _coefficients(rows, live)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
-
-    def consume(start, samples):
-        stop = start + len(samples)
-        e[start:stop, :-1] = samples[:, :, 0]
-        g[start:stop, 1:] = samples[:, :, 1]
-
-    _integrate_stack(rows, live, profile, grid, consume)
+    consume = _write_amplitudes(live, coef, e[:, :-1], g[:, 1:])
+    _integrate_stack(live[2], r, profile, grid, consume)
     return JointPureState(e, g, grid)
 
 
@@ -357,6 +385,77 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     return _block_rows(e0, g0) + (g0[:, 0],)
 
 
+# Products of the solver's block samples P and Q, as their factors: of a
+# block with itself, of block n (hi) with block n - 1 (lo), and block 0's
+# own samples.
+_PRODUCTS = {
+    "P^2": lambda p, q: (p, p),
+    "P*Q": lambda p, q: (p, q),
+    "Q^2": lambda p, q: (q, q),
+    "P_hi*P_lo": lambda p, q: (p[:, 1:], p[:, :-1]),
+    "P_hi*Q_lo": lambda p, q: (p[:, 1:], q[:, :-1]),
+    "Q_hi*P_lo": lambda p, q: (q[:, 1:], p[:, :-1]),
+    "Q_hi*Q_lo": lambda p, q: (q[:, 1:], q[:, :-1]),
+    "P_0": lambda p, q: (p[:, :1],),
+    "Q_0": lambda p, q: (q[:, :1],),
+}
+
+
+def _reduction_terms(atom, field, profile, t_grid):
+    """Check the mixed oracle's solve and weigh its products; returns
+    (grid, n, r, dark_gg, kept).
+
+    ``n`` and ``r`` are the solver's blocks and start norms
+    (``_coefficients``), dark_gg the dark amplitudes' share of rho_gg, and
+    ``kept`` lists each ``_PRODUCTS`` entry with a weight that is not all 0
+    as (kind, [(part, weight)]): part 0 to 3 is rho_ee, rho_gg, Re rho_eg
+    or Im rho_eg, and the weight holds one number per column of the
+    product. Only these per-block weights outlive the call; the rows and
+    their coefficients go before the solve.
+    """
+    blocks, rows, dark = oracle_rows(atom, field)
+    grid, live = _check_solve(profile, t_grid, blocks, rows)
+    r, coef = _coefficients(rows, live)
+    n = live[2]
+    # c_e = a P + b Q and c_g = c P + d Q of state s in block m, at [s, m]
+    a, b, c, d = coef.reshape(4, dark.size, -1)
+
+    def same(x, y):  # sum_s Re(x conj(y)) at each live block
+        return np.sum((x * y.conj()).real, axis=0)[n]
+
+    # rho_eg pairs e_m of state s, s % stride == 0, with g_m of state
+    # s + stride - 1: block m's e with block m - 1's g, and for m = 0 the
+    # dark g_0.
+    stride = 1 if field.amplitudes is not None else 2
+    e_a, e_b = a[0::stride], b[0::stride]
+    g_c, g_d = c[stride - 1 :: stride].conj(), d[stride - 1 :: stride].conj()
+    g_dark = dark[stride - 1 :: stride].conj()
+
+    # sum_s x[s, m] y[s, m - 1] at each live block m after the first; a
+    # dead block m - 1 has no coefficients, so the live block before m,
+    # whose samples the product takes, then gets weight 0.
+    def lag(x, y):
+        return np.sum(x[:, 1:] * y[:, :-1], axis=0)[n[1:] - 1]
+
+    terms = {
+        "P^2": [(0, same(a, a)), (1, same(c, c))],
+        "P*Q": [(0, 2 * same(a, b)), (1, 2 * same(c, d))],
+        "Q^2": [(0, same(b, b)), (1, same(d, d))],
+    }
+    for kind, w in (
+        ("P_hi*P_lo", lag(e_a, g_c)),
+        ("P_hi*Q_lo", lag(e_a, g_d)),
+        ("Q_hi*P_lo", lag(e_b, g_c)),
+        ("Q_hi*Q_lo", lag(e_b, g_d)),
+        ("P_0", np.sum(e_a[:, 0] * g_dark, keepdims=True)),
+        ("Q_0", np.sum(e_b[:, 0] * g_dark, keepdims=True)),
+    ):
+        terms[kind] = [(2, w.real), (3, w.imag)]
+    kept = [(k, [(part, w) for part, w in uses if w.any()]) for k, uses in terms.items()]
+    kept = [(kind, uses) for kind, uses in kept if uses]
+    return grid, n, r, np.sum(np.abs(dark) ** 2), kept
+
+
 def oracle_evolve_mixed(
     atom: AtomDensityMatrix, field: PhotonDistribution, profile, t_grid
 ) -> AtomDensityMatrix:
@@ -367,35 +466,31 @@ def oracle_evolve_mixed(
     with itself. On a photon-diagonal field photon sector n keeps the |e>
     part in block n and the |g> part in block n - 1, so the populations are
     sums of squared amplitudes and the coherence pairs the |e> part's e_n
-    with the |g> part's g_n. These sums are read straight off the solver's
-    rows, one time block at a time as the solver completes it, without
-    building the joint states or keeping the samples. Returns the batch form
-    of AtomDensityMatrix, one row per grid time.
+    with the |g> part's g_n. Every amplitude is a fixed linear function of
+    its block's samples (``_coefficients``), so each sum is one of
+    products of the samples (``_PRODUCTS``), each summed against per-block
+    weights (``_reduction_terms``) by numpy's own loops, whose bits no BLAS
+    thread count changes. A product whose weights are all 0 is not formed.
+    The sums are taken one time block at a time as the solver completes
+    it, without building the joint states or keeping the samples. Returns
+    the batch form of AtomDensityMatrix, one row per grid time.
     """
-    blocks, rows, dark = oracle_rows(atom, field)
-    grid, live = _check_solve(profile, t_grid, blocks, rows)
-    stride = 1 if field.amplitudes is not None else 2
-    # rho_eg pairs e_n of state s, s % stride == 0, with g_n of state
-    # s + stride - 1: block n's e with block n - 1's g, and for n = 0 the
-    # dark g_0.
-    g_dark = dark[stride - 1 :: stride].conj()
-    dark_gg = np.sum(np.abs(dark) ** 2)
-    ee = np.empty(grid.size)
-    gg = np.empty(grid.size)
-    eg = np.empty(grid.size, dtype=complex)
+    grid, n, r, dark_gg, kept = _reduction_terms(atom, field, profile, t_grid)
+    ee = np.zeros(grid.size)
+    gg = np.full(grid.size, dark_gg)
+    eg = np.zeros(grid.size, dtype=complex)
+    parts = (ee, gg, eg.real, eg.imag)
 
-    def reduce(start, block):
-        stop = start + len(block)
-        sq = np.sum(np.abs(block) ** 2, axis=1)
-        ee[start:stop] = sq[:, 0]
-        gg[start:stop] = sq[:, 1] + dark_gg
-        states = block.reshape(len(block), dark.size, -1, 2)
-        e = states[:, 0::stride, :, 0]
-        g = states[:, stride - 1 :: stride, :-1, 1]
-        eg[start:stop] = np.sum(e[:, :, 1:] * g.conj(), axis=(1, 2))
-        eg[start:stop] += e[:, :, 0] @ g_dark
+    def reduce(start, big_p, big_q):
+        stop = start + len(big_p)
+        for kind, uses in kept:
+            factors = _PRODUCTS[kind](big_p, big_q)
+            # One loop forms and sums each product: no (time, block) copy.
+            spec = "tn," * len(factors) + "n->t"
+            for part, weight in uses:
+                parts[part][start:stop] += np.einsum(spec, *factors, weight)
 
-    _integrate_stack(rows, live, profile, grid, reduce)
+    _integrate_stack(n, r, profile, grid, reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
     return AtomDensityMatrix.conditioned(ee, gg, eg)

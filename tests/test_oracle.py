@@ -231,8 +231,18 @@ PAIRING_ATOMS = {
     "ground": AtomDensityMatrix(0.0, 1.0, 0.0),
     "plus_x": AtomDensityMatrix.from_atom_state(AtomState.plus_x()),
     "rank2": AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j),
+    # one member (-0.6i, 0.8): on the complex alpha both pairs of every row
+    # are live
+    "complex": AtomDensityMatrix.from_atom_state(AtomState(0.6, 0.8j)),
 }
-PAIRING_FIELDS = {"thermal": thermal_weights(1.2), "coherent": coherent_amplitudes(2.0)}
+PAIRING_FIELDS = {
+    "thermal": thermal_weights(1.2),
+    "coherent": coherent_amplitudes(2.0),
+    "complex_alpha": coherent_amplitudes(1.2 + 0.9j),
+    # block 1 holds no live pair for an excited atom, between live blocks
+    # 0 and 2
+    "gap": custom_distribution(weights=[0.5, 0.0, 0.5]),
+}
 
 
 @pytest.mark.parametrize("field_name", PAIRING_FIELDS)
@@ -240,9 +250,9 @@ PAIRING_FIELDS = {"thermal": thermal_weights(1.2), "coherent": coherent_amplitud
 def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     atom_name, field_name, solves, monkeypatch
 ):
-    # The reduction reads the solver's pairs block by block as they come;
-    # scattering the same pairs back into joint states and reducing those
-    # must agree with it.
+    # The reduction sums products of the solver's samples, block by block
+    # as they come; scattering the same pairs back into joint states and
+    # reducing those must agree with it.
     from jcdyn import oracle
 
     monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 400)  # several time blocks
@@ -287,6 +297,58 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
         np.sum(e[:, 0::k] * g[:, k - 1 :: k].conj(), axis=(1, 2)),
     )
     assert max_gap(rhos, ref) < 1e-15
+
+
+# The products a mixed oracle run on a thermal field forms: the weights of
+# the others are all 0. On excited or ground, rho_eg is 0 and formed from
+# nothing; plus_x's |e> and |g> parts are real and in different states,
+# so no row mixes P and Q.
+THERMAL_PRODUCTS = {
+    "excited": {"P^2", "Q^2"},
+    "ground": {"P^2", "Q^2"},
+    "plus_x": {"P^2", "Q^2", "P_hi*P_lo", "P_0"},
+}
+
+
+def product_counts(monkeypatch, atom, field):
+    """{product: times formed} over one mixed oracle run of one time block,
+    checked against the closed form."""
+    from jcdyn import oracle
+
+    counts = Counter()
+
+    def counted(kind, product):
+        def form(*samples):
+            counts[kind] += 1
+            return product(*samples)
+
+        return form
+
+    for kind, product in oracle._PRODUCTS.items():
+        monkeypatch.setitem(oracle._PRODUCTS, kind, counted(kind, product))
+    grid = np.linspace(0.0, 3.0, 13)
+    profile = SechCoupling(1.0, 0.2)
+    rhos = oracle_evolve_mixed(atom, field, profile, grid)
+    assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
+    return counts
+
+
+@pytest.mark.parametrize("atom_name", THERMAL_PRODUCTS)
+def test_mixed_reduction_forms_no_product_of_zero_weight(atom_name, monkeypatch):
+    counts = product_counts(
+        monkeypatch, PAIRING_ATOMS[atom_name], PAIRING_FIELDS["thermal"]
+    )
+    assert counts == Counter(dict.fromkeys(THERMAL_PRODUCTS[atom_name], 1))
+
+
+def test_mixed_reduction_forms_every_product_once_per_time_block(monkeypatch):
+    # A rank-2 atom on a complex alpha gives every product a weight.
+    from jcdyn import oracle
+
+    counts = product_counts(
+        monkeypatch, PAIRING_ATOMS["rank2"], PAIRING_FIELDS["complex_alpha"]
+    )
+    assert counts == Counter(dict.fromkeys(oracle._PRODUCTS, 1))
 
 
 ONE_PAIR_ATOMS = {
@@ -397,9 +459,10 @@ def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
     )
 
 
-# Peak of the case below: 1.9 MiB at 201 times, 2.7 MiB at 20,001, where
+# Peak of the case below: 0.9 MiB at 201 times, 2.0 MiB at 20,001, where
 # the three output columns and their conditioned copies take the
-# difference. Holding the samples took 16.4 MiB at 201 times and
+# difference (1.9 and 2.5 MiB when the samples were spread back onto
+# complex rows). Holding the samples took 16.4 MiB at 201 times and
 # 140.9 MiB at 2001.
 MIXED_ORACLE_PEAK = 6 * 2**20
 
@@ -420,6 +483,28 @@ def test_mixed_oracle_memory_does_not_grow_with_times(steps):
     finally:
         tracemalloc.stop()
     assert peak <= MIXED_ORACLE_PEAK
+
+
+# Peak of the case below: 3.8 MiB. Spreading the samples back onto complex
+# rows peaked at 5.47 MiB; holding the rows, their coefficients and the
+# live-pair indices through the solve peaks at 5.1 MiB.
+WIDE_ORACLE_PEAK = 5.5 * 2**20
+
+
+def test_mixed_oracle_wide_field_holds_per_block_weights():
+    # plus_x on thermal 200: 11,082 rows in 5,541 photon blocks. Only the
+    # per-block weights of the products outlive the set-up; the rows and
+    # their coefficients are gone before the solve.
+    field = thermal_weights(200.0)
+    rho0 = AtomDensityMatrix.from_atom_state(AtomState.plus_x())
+    grid = np.linspace(0.0, 2.0, 101)
+    tracemalloc.start()
+    try:
+        oracle_evolve_mixed(rho0, field, SinusoidalCoupling(1.0, 0.5), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= WIDE_ORACLE_PEAK
 
 
 def test_pure_oracle_holds_no_sample_copy():
