@@ -3,34 +3,27 @@
 Integrates the bare-basis Schrodinger equation block by block with a
 general-purpose ODE solver, the DOP853 of ``jcdyn.dop853`` at its fixed
 settings (or, in ``integrate_block``, fixed-step RK4), sampling lambda(t)
-pointwise at every stage.
-The integrator never sees the coupling area, so agreement with the
-closed-form path validates the area-based solution end to end. Block n's
-amplitudes (c_e, c_g) = (x_e + i y_e, x_g + i y_g) obey
-i (d/dt)(c_e, c_g) = lambda(t) k (c_g, c_e), k = sqrt(n+1), which splits
-into two real pairs (p, q), (x_e, y_g) and (x_g, y_e), each obeying
-p' = k lambda q, q' = -k lambda p. Every pair of block n obeys this one
-linear equation, so as a complex number z = p + i q each follows the same
-solution: z(t) = (z0 / r) (P + i Q), where (P, Q) starts at (r, 0). The
-solver therefore integrates one pair per photon block that holds a pair
-starting nonzero, r that block's norm over all such pairs of all the joint
-states of a run; a pair that starts at (0, 0) stays there. These pairs are
-stacked into one flat real state vector, so the solver is called once per
-trajectory, and its samples come back in time blocks of one reused
-buffer. Every amplitude is a fixed linear function of its block's
-samples, c_e = alpha P + beta Q and c_g = gamma P + delta Q, with
-coefficients formed once per solve, so no complex row is built from the
-samples. ``oracle_evolve_mixed`` takes any atom on any field, as
-``evolve_mixed`` does, and returns the reduced atom, summed through a
+pointwise at every stage. The integrator never sees the coupling area, so
+agreement with the closed-form path validates the area-based solution end
+to end. Block n's amplitudes obey i (d/dt)(c_e, c_g) = lambda(t) k
+(c_g, c_e), k = sqrt(n+1). Every row of block n, in every joint state of
+a run, obeys this one linear equation, so all follow one real pair (P, Q),
+P' = k lambda Q and Q' = -k lambda P, started at (r, 0), r the block's
+norm: (c_e, c_g) = w P + i (w_g, w_e) Q, w = (c_e0, c_g0) / r. A pair that
+starts at (0, 0) stays there, so the solver integrates one pair per photon
+block with a row that starts nonzero. These pairs are stacked into one
+flat real state vector, so the solver is called once per trajectory, and
+its samples come back in time blocks of one reused buffer, from which no
+complex row is built. ``oracle_evolve_mixed`` takes any atom on any field,
+as ``evolve_mixed`` does, and returns the reduced atom, summed through a
 table of products of the samples in time blocks as the solver hands them
 over, so that it holds the solver's working set, per-block weights and one
 time block, whatever the number of grid times. ``oracle_evolve_pure``
 returns the joint state of a pure atom on a pure field, writing each time
-block into it. Both evolve joint pure states through one helper, and
-every block starts at its
-physical amplitude, for atom member v_k (rho = sum_k v_k v_k^dagger):
-v_k C_n on a pure field, sqrt(p_n) v_k on a photon-diagonal one. So the
-solver tolerances act alike on every field.
+block into it. Both evolve joint pure states through one helper, and every
+block starts at its physical amplitude, for atom member v_k
+(rho = sum_k v_k v_k^dagger): v_k C_n on a pure field, sqrt(p_n) v_k on a
+photon-diagonal one. So the solver tolerances act alike on every field.
 """
 
 from __future__ import annotations
@@ -77,43 +70,52 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _live_pairs(blocks, rows):
-    """The real pairs of the complex block rows ``rows`` (B, 2), of block
-    numbers ``blocks``, that start nonzero, as (i, j, n, b): pair j of row
-    i, the sorted numbers n of the blocks that hold one, and each pair's
-    index b into n.
+def _start(blocks, rows):
+    """Where the solver starts for the complex block rows ``rows`` (B, 2),
+    of block numbers ``blocks``; returns (n, r, index, u, v).
 
-    Row (c_e, c_g) = (x_e + i y_e, x_g + i y_g) holds pair 0, (x_e, y_g),
-    and pair 1, (x_g, y_e). A pair that starts at (0, 0) stays there, so
-    only the live ones are followed, through one integrated pair per block
-    in n; a solve of more than MAX_ORACLE_SAMPLES / _STAGES blocks is
-    refused.
+    ``n`` holds the sorted numbers of the blocks with a row that starts
+    nonzero, ``r`` each such block's norm over all its rows, ``index`` each
+    row's place in n, and u + i v = rows / r as float parts (0 on a row
+    that starts at 0). A solve of more than MAX_ORACLE_SAMPLES / _STAGES
+    blocks is refused.
     """
-    i, j = np.nonzero((rows.real != 0) | (rows.imag[:, ::-1] != 0))
-    n, b = np.unique(blocks[i], return_inverse=True)
+    live = np.any(rows != 0, axis=1)
+    n, b = np.unique(blocks[live], return_inverse=True)
     count = _STAGES * n.size
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
             f"oracle needs {count} complex stage values, over the budget of "
             f"{MAX_ORACLE_SAMPLES}"
         )
-    return i, j, n, b
+    # Each block's norm by hypot, as squares of a wide field's far tails
+    # underflow, over the pairs' p (Re c_e, Re c_g), then q (Im c_g, Im c_e).
+    r = np.zeros(n.size)
+    at = np.repeat(b, 2)
+    np.hypot.at(r, at, rows.real[live].ravel())
+    np.hypot.at(r, at, rows.imag[live, ::-1].ravel())
+    index = np.zeros(len(rows), dtype=np.intp)
+    index[live] = b
+    norm = np.ones(len(rows))
+    norm[live] = r[b]
+    # Float division: numpy's complex division multiplies by 1 / r.
+    return n, r, index, rows.real / norm[:, None], rows.imag / norm[:, None]
 
 
 def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     """Check a solve of the complex block rows ``rows`` (B, 2), of block
     numbers ``blocks``, over ``t_grid`` before its first step; returns the
-    grid and the rows' live pairs (``_live_pairs``), which
-    ``_integrate_stack`` follows.
+    grid and the solver's start (``_start``): each row follows its block's
+    pair as (c_e, c_g) = w P + i (w_g, w_e) Q (``_integrate_stack``).
 
     The grid is checked as a time is (``_as_times``), and must be a
     non-empty 1-D array that starts at 0 and rises strictly. The stages
-    must fit MAX_ORACLE_SAMPLES (``_live_pairs``), and the solve may take
+    must fit MAX_ORACLE_SAMPLES (``_start``), and the solve may take
     at most MAX_ORACLE_STEPS steps. RK4 with ``rk4_step`` takes exactly
     ceil(interval / rk4_step) per grid interval. DOP853 takes at least one
     per dop853.MAX_STEP of the span, and at least one per two radians of
-    sqrt(n + 1) * integral |lambda| for the highest block n with a live
-    pair, the integral a trapezoid of ``lambda_at`` on the grid.
+    sqrt(n + 1) * integral |lambda| for the highest live block n, the
+    integral a trapezoid of ``lambda_at`` on the grid.
     """
     grid = _as_times(profile, t_grid)
     if grid.ndim != 1 or grid.size == 0:
@@ -123,11 +125,11 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
-    live = _live_pairs(blocks, rows)
+    start = _start(blocks, rows)
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
-        top = np.max(live[2], initial=0)
+        top = np.max(start[0], initial=0)
         rate = np.abs(lambda_at(profile, grid))
         with np.errstate(over="ignore"):
             phase = math.sqrt(top + 1.0) * np.sum((rate[1:] + rate[:-1]) * gaps) / 2
@@ -140,54 +142,23 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
         raise InvalidInputError(
             f"oracle needs {steps:.7g} steps, over the budget of {MAX_ORACLE_STEPS}"
         )
-    return grid, live
-
-
-def _coefficients(rows, live):
-    """The solver's start norms and each row's amplitudes as fixed linear
-    functions of its block's samples, for the live pairs ``live`` of the
-    complex (B, 2) ``rows`` (``_live_pairs``): returns (r, coef).
-
-    Block n's integrated pair (P, Q) starts at (r, 0), r the norm of the
-    block's live pairs, so a live pair z0 = p0 + i q0 of it is
-    (wr P - wi Q, wi P + wr Q), wr + i wi = z0 / r. Row i's amplitudes are
-    then c_e = alpha P + beta Q and c_g = gamma P + delta Q, ``coef`` the
-    complex (4, B) (alpha, beta, gamma, delta): pair 0, (Re c_e, Im c_g),
-    adds (wr, -wi) to the real parts of (alpha, beta) and (wi, wr) to the
-    imaginary parts of (gamma, delta); pair 1, (Re c_g, Im c_e), adds the
-    same to the real parts of (gamma, delta) and the imaginary parts of
-    (alpha, beta). A dead pair adds nothing.
-    """
-    i, j, n, b = live
-    zr, zi = rows.real[i, j], rows.imag[i, 1 - j]
-    # Each block's norm, summed by hypot: squares of the far tails of a
-    # wide field underflow.
-    r = np.zeros(n.size)
-    np.hypot.at(r, b, zr)
-    np.hypot.at(r, b, zi)
-    wr, wi = zr / r[b], zi / r[b]
-    coef = np.zeros((4, len(rows), 2))  # (real, imaginary) parts
-    coef[2 * j, i, 0] = wr
-    coef[2 * j + 1, i, 0] = -wi
-    coef[2 - 2 * j, i, 1] = wi
-    coef[3 - 2 * j, i, 1] = wr
-    return r, coef.view(complex)[..., 0]
+    return grid, start
 
 
 def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
     """Evolve one real pair per photon block, handing its samples to
     ``consume``.
 
-    Block n's pairs obey (p, q)' = lambda(t) sqrt(n+1) (q, -p). The pair
-    (P_b, Q_b) of block n_b, ``n`` and ``r`` as ``_check_solve`` and
-    ``_coefficients`` gave them, starts at (r_b, 0), and these are stepped
-    as one float vector, by DOP853, or with ``rk4_step`` set, by fixed-step
-    RK4 subdividing each grid interval evenly into steps of at most that
-    size. Each run of grid times start..stop-1 that fills a block of
-    _BLOCK_ELEMENTS entries (one time at least), and the rest at the end,
-    is checked finite and handed to ``consume(start, P, Q)`` as soon as it
-    is complete, P and Q the (stop - start, len(n)) views of the samples;
-    their buffer is then reused.
+    Block n's pair obeys (P, Q)' = lambda(t) sqrt(n+1) (Q, -P) from
+    (r, 0), ``n`` and ``r`` as ``_check_solve`` gave them, so its row
+    w r = (c_e0, c_g0) is (c_e, c_g) = w P + i (w_g, w_e) Q. The pairs are
+    stepped as one float vector, by DOP853, or with ``rk4_step`` set, by
+    fixed-step RK4 subdividing each grid interval evenly into steps of at
+    most that size. Each run of grid times start..stop-1 that fills a block
+    of _BLOCK_ELEMENTS entries (one time at least), and the rest at the
+    end, is checked finite and handed to ``consume(start, P, Q)`` as soon
+    as it is complete, P and Q the (stop - start, len(n)) views of the
+    samples; their buffer is then reused.
     """
     y0 = np.zeros(2 * n.size)
     y0[0::2] = r
@@ -221,25 +192,23 @@ def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
     flush(grid.size)
 
 
-def _write_amplitudes(live, coef, e, g):
-    """A ``consume`` for ``_integrate_stack`` that writes row i's
-    amplitudes, as ``_coefficients`` gives them for the live pairs
-    ``live``, into column i of the complex (T, B) ``e`` and ``g`` at the
-    sampled times; the parts of a dead pair are left as they are. Each part
-    is x P + y Q formed with float products, not a complex one, whose bits
-    would depend on the time block's length."""
-    i, j, _, b = live
-    alpha, beta, gamma, delta = coef
+def _write_amplitudes(start, e, g):
+    """A ``consume`` for ``_integrate_stack`` that writes row i, w P +
+    i (w_g, w_e) Q with w = u + i v of ``start``, into column i of the
+    complex (T, B) ``e`` and ``g`` at the sampled times. Each part is
+    x P + y Q formed with float products, not a complex one, whose bits
+    would depend on the time block's length; a part with x = y = 0 stays
+    0 and is left as it is."""
+    _, _, index, u, v = start
     parts = []
-    # pair 0 is (Re c_e, Im c_g), pair 1 (Re c_g, Im c_e)
-    for pair, out, x, y in (
-        (0, e.real, alpha.real, beta.real),
-        (0, g.imag, gamma.imag, delta.imag),
-        (1, g.real, gamma.real, delta.real),
-        (1, e.imag, alpha.imag, beta.imag),
+    for out, x, y in (
+        (e.real, u[:, 0], -v[:, 1]),
+        (e.imag, v[:, 0], u[:, 1]),
+        (g.real, u[:, 1], -v[:, 0]),
+        (g.imag, v[:, 1], u[:, 0]),
     ):
-        rows, cols = i[j == pair], b[j == pair]
-        parts.append((out, rows, cols, x[rows], y[rows]))
+        rows = np.flatnonzero((x != 0) | (y != 0))
+        parts.append((out, rows, index[rows], x[rows], y[rows]))
 
     def consume(start, big_p, big_q):
         stop = start + len(big_p)
@@ -306,11 +275,10 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
     blocks, rows = np.array([n]), pair[None]
-    grid, live = _check_solve(profile, t_grid, blocks, rows, rk4_step)
-    r, coef = _coefficients(rows, live)
+    grid, start = _check_solve(profile, t_grid, blocks, rows, rk4_step)
     out = np.zeros((grid.size, 2), dtype=complex)
-    consume = _write_amplitudes(live, coef, out[:, :1], out[:, 1:])
-    _integrate_stack(live[2], r, profile, grid, consume, rk4_step)
+    consume = _write_amplitudes(start, out[:, :1], out[:, 1:])
+    _integrate_stack(*start[:2], profile, grid, consume, rk4_step)
     return out
 
 
@@ -339,13 +307,12 @@ def oracle_evolve_pure(
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     e0, g0 = _initial_amplitudes(atom, field)
     blocks, rows = _block_rows(e0[None], g0[None])
-    grid, live = _check_solve(profile, t_grid, blocks, rows)
-    r, coef = _coefficients(rows, live)
+    grid, start = _check_solve(profile, t_grid, blocks, rows)
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
-    consume = _write_amplitudes(live, coef, e[:, :-1], g[:, 1:])
-    _integrate_stack(live[2], r, profile, grid, consume)
+    consume = _write_amplitudes(start, e[:, :-1], g[:, 1:])
+    _integrate_stack(*start[:2], profile, grid, consume)
     return JointPureState(e, g, grid)
 
 
@@ -362,9 +329,9 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     reduced dynamics. On a pure field member k is one joint pure state
     v_k (x) C, state k. On a photon-diagonal field member k splits into two:
     its |e> part, sqrt(p_n) v_k,e on |e,n>, state 2k, and its |g> part,
-    sqrt(p_n) v_k,g on |g,n>, state 2k + 1. ``_check_solve`` on the rows
-    checks the solve's budgets, so a caller can refuse a case before
-    anything runs.
+    sqrt(p_n) v_k,g on |g,n>, state 2k + 1 (``_member_states``).
+    ``_check_solve`` on the rows checks the solve's budgets, so a caller can
+    refuse a case before anything runs.
     """
     ee, gg, eg = float(atom.rho_ee), float(atom.rho_gg), complex(atom.rho_eg)
     swap = gg > ee  # pivot on |g>: factor in the (g, e) basis
@@ -376,13 +343,21 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
         members.append((0.0, math.sqrt(residue)))
     v = np.array(members, dtype=complex)[:, ::-1 if swap else 1]
     pure = field.amplitudes is not None
-    stride = 1 if pure else 2  # states per member: one joint state, or e and g
     amp = field.amplitudes if pure else np.sqrt(field.weights)
-    e0 = np.zeros((stride * len(v), field.n_max + 2), dtype=complex)
+    e_of, g_of = _member_states(field)
+    e0 = np.zeros((e_of.step * len(v), field.n_max + 2), dtype=complex)
     g0 = e0.copy()
-    e0[0::stride, :-1] = v[:, 0, None] * amp
-    g0[stride - 1 :: stride, :-1] = v[:, 1, None] * amp
+    e0[e_of, :-1] = v[:, 0, None] * amp
+    g0[g_of, :-1] = v[:, 1, None] * amp
     return _block_rows(e0, g0) + (g0[:, 0],)
+
+
+def _member_states(field):
+    """The states of ``oracle_rows`` that hold the atom members' |e> and |g>
+    amplitudes on ``field``, as two slices: states k and k on a pure field,
+    2k and 2k + 1 on a photon-diagonal one."""
+    stride = 1 if field.amplitudes is not None else 2
+    return slice(0, None, stride), slice(stride - 1, None, stride)
 
 
 # Products of the solver's block samples P and Q, as their factors: of a
@@ -405,35 +380,33 @@ def _reduction_terms(atom, field, profile, t_grid):
     """Check the mixed oracle's solve and weigh its products; returns
     (grid, n, r, dark_gg, kept).
 
-    ``n`` and ``r`` are the solver's blocks and start norms
-    (``_coefficients``), dark_gg the dark amplitudes' share of rho_gg, and
-    ``kept`` lists each ``_PRODUCTS`` entry with a weight that is not all 0
-    as (kind, [(part, weight)]): part 0 to 3 is rho_ee, rho_gg, Re rho_eg
-    or Im rho_eg, and the weight holds one number per column of the
-    product. Only these per-block weights outlive the call; the rows and
-    their coefficients go before the solve.
+    ``n`` and ``r`` are the solver's blocks and start norms (``_start``),
+    dark_gg the dark amplitudes' share of rho_gg, and ``kept`` lists each
+    ``_PRODUCTS`` entry with a weight that is not all 0 as
+    (kind, [(part, weight)]): part 0 to 3 is rho_ee, rho_gg, Re rho_eg or
+    Im rho_eg, and the weight holds one number per column of the product.
+    Only these per-block weights outlive the call; the rows and their
+    start go before the solve.
     """
     blocks, rows, dark = oracle_rows(atom, field)
-    grid, live = _check_solve(profile, t_grid, blocks, rows)
-    r, coef = _coefficients(rows, live)
-    n = live[2]
+    grid, (n, r, _, u, v) = _check_solve(profile, t_grid, blocks, rows)
     # c_e = a P + b Q and c_g = c P + d Q of state s in block m, at [s, m]
-    a, b, c, d = coef.reshape(4, dark.size, -1)
+    w = (u + 1j * v).reshape(dark.size, -1, 2)
+    a, b, c, d = w[..., 0], 1j * w[..., 1], w[..., 1], 1j * w[..., 0]
 
     def same(x, y):  # sum_s Re(x conj(y)) at each live block
         return np.sum((x * y.conj()).real, axis=0)[n]
 
-    # rho_eg pairs e_m of state s, s % stride == 0, with g_m of state
-    # s + stride - 1: block m's e with block m - 1's g, and for m = 0 the
-    # dark g_0.
-    stride = 1 if field.amplitudes is not None else 2
-    e_a, e_b = a[0::stride], b[0::stride]
-    g_c, g_d = c[stride - 1 :: stride].conj(), d[stride - 1 :: stride].conj()
-    g_dark = dark[stride - 1 :: stride].conj()
+    # rho_eg pairs each member's e_m with its g_m: block m's e with block
+    # m - 1's g, and for m = 0 the dark g_0.
+    e_of, g_of = _member_states(field)
+    e_a, e_b = a[e_of], b[e_of]
+    g_c, g_d = c[g_of].conj(), d[g_of].conj()
+    g_dark = dark[g_of].conj()
 
     # sum_s x[s, m] y[s, m - 1] at each live block m after the first; a
-    # dead block m - 1 has no coefficients, so the live block before m,
-    # whose samples the product takes, then gets weight 0.
+    # block m - 1 whose rows all start at 0 has w = 0, so the live block
+    # before m, whose samples the product takes, then gets weight 0.
     def lag(x, y):
         return np.sum(x[:, 1:] * y[:, :-1], axis=0)[n[1:] - 1]
 
@@ -467,7 +440,7 @@ def oracle_evolve_mixed(
     part in block n and the |g> part in block n - 1, so the populations are
     sums of squared amplitudes and the coherence pairs the |e> part's e_n
     with the |g> part's g_n. Every amplitude is a fixed linear function of
-    its block's samples (``_coefficients``), so each sum is one of
+    its block's samples (``_integrate_stack``), so each sum is one of
     products of the samples (``_PRODUCTS``), each summed against per-block
     weights (``_reduction_terms``) by numpy's own loops, whose bits no BLAS
     thread count changes. A product whose weights are all 0 is not formed.

@@ -59,6 +59,16 @@ def test_block_matches_closed_rotation_mid_grid():
         assert abs(traj[i, 1] - math.cos(theta)) < 1e-9
 
 
+def test_block_of_a_huge_photon_number():
+    # The solver's start is sized by the live blocks, never by the largest
+    # block number: block 2^40 turns by sqrt(2^40 + 1) * 1e-12 radians.
+    traj = integrate_block(2**40, (1, 0), CONST, [0, 1e-12], rk4_step=1e-12)
+    assert np.all(np.isfinite(traj))
+    assert np.allclose(np.sum(np.abs(traj) ** 2, axis=1), 1.0, rtol=1e-15, atol=0)
+    theta = math.sqrt(2**40 + 1) * 1e-12
+    assert np.allclose(traj[-1], [math.cos(theta), -1j * math.sin(theta)], rtol=0, atol=1e-15)
+
+
 def test_rk4_step_validation():
     for bad in (0.0, -0.1, math.inf, math.nan, True, "0.1"):
         with pytest.raises(InvalidInputError, match="rk4_step must be"):
