@@ -20,8 +20,9 @@ table of products of the samples in time blocks as the solver hands them
 over, so that it holds the solver's working set, per-block weights and one
 time block, whatever the number of grid times. ``oracle_evolve_pure``
 returns the joint state of a pure atom on a pure field, writing each time
-block into it. Both evolve joint pure states through one helper, and every
-block starts at its physical amplitude, for atom member v_k
+block into it. Both evolve joint pure states through one helper, which
+takes them as one complex (state, block, 2) array of rows (e[b], g[b+1]);
+every block starts at its physical amplitude, for atom member v_k
 (rho = sum_k v_k v_k^dagger): v_k C_n on a pure field, sqrt(p_n) v_k on a
 photon-diagonal one. So the solver tolerances act alike on every field.
 """
@@ -70,43 +71,42 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _start(blocks, rows):
-    """Where the solver starts for the complex block rows ``rows`` (B, 2),
-    of block numbers ``blocks``; returns (n, r, index, u, v).
+def _start(rows, first):
+    """Where the solver starts for the complex (state, block, 2) array
+    ``rows``, whose block b is photon block first + b; returns (n, r, u, v).
 
-    ``n`` holds the sorted numbers of the blocks with a row that starts
-    nonzero, ``r`` each such block's norm over all its rows, ``index`` each
-    row's place in n, and u + i v = rows / r as float parts (0 on a row
-    that starts at 0). A solve of more than MAX_ORACLE_SAMPLES / _STAGES
-    blocks is refused.
+    ``n`` holds the numbers of the blocks in which some state's row starts
+    nonzero, in order, ``r`` each such block's norm over all its states,
+    and u + i v = rows / r as float parts on those blocks' columns
+    (``rows[:, n - first]``). A solve of more than
+    MAX_ORACLE_SAMPLES / _STAGES blocks is refused.
     """
-    live = np.any(rows != 0, axis=1)
-    n, b = np.unique(blocks[live], return_inverse=True)
+    live = np.any(rows != 0, axis=(0, 2))
+    n = np.flatnonzero(live) + first
     count = _STAGES * n.size
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
             f"oracle needs {count} complex stage values, over the budget of "
             f"{MAX_ORACLE_SAMPLES}"
         )
+    rows = rows[:, live]
     # Each block's norm by hypot, as squares of a wide field's far tails
-    # underflow, over the pairs' p (Re c_e, Re c_g), then q (Im c_g, Im c_e).
+    # underflow, over every state's p (Re c_e, Re c_g), then q (Im c_g,
+    # Im c_e); a row that starts at 0 adds hypot(r, 0) = r.
     r = np.zeros(n.size)
-    at = np.repeat(b, 2)
-    np.hypot.at(r, at, rows.real[live].ravel())
-    np.hypot.at(r, at, rows.imag[live, ::-1].ravel())
-    index = np.zeros(len(rows), dtype=np.intp)
-    index[live] = b
-    norm = np.ones(len(rows))
-    norm[live] = r[b]
+    for part in (rows.real, rows.imag[..., ::-1]):
+        for x in np.vstack(part.swapaxes(1, 2)):
+            np.hypot(r, x, out=r)
     # Float division: numpy's complex division multiplies by 1 / r.
-    return n, r, index, rows.real / norm[:, None], rows.imag / norm[:, None]
+    return n, r, rows.real / r[:, None], rows.imag / r[:, None]
 
 
-def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
-    """Check a solve of the complex block rows ``rows`` (B, 2), of block
-    numbers ``blocks``, over ``t_grid`` before its first step; returns the
-    grid and the solver's start (``_start``): each row follows its block's
-    pair as (c_e, c_g) = w P + i (w_g, w_e) Q (``_integrate_stack``).
+def _check_solve(profile, t_grid, rows, rk4_step=None, first=0):
+    """Check a solve of the complex (state, block, 2) array ``rows``, block
+    b the photon block first + b, over ``t_grid`` before its first step;
+    returns the grid and the solver's start (``_start``): each row follows
+    its block's pair as (c_e, c_g) = w P + i (w_g, w_e) Q
+    (``_integrate_stack``).
 
     The grid is checked as a time is (``_as_times``), and must be a
     non-empty 1-D array that starts at 0 and rises strictly. The stages
@@ -125,7 +125,7 @@ def _check_solve(profile, t_grid, blocks, rows, rk4_step=None):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
-    start = _start(blocks, rows)
+    start = _start(rows, first)
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
@@ -192,14 +192,14 @@ def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
     flush(grid.size)
 
 
-def _write_amplitudes(start, e, g):
-    """A ``consume`` for ``_integrate_stack`` that writes row i, w P +
-    i (w_g, w_e) Q with w = u + i v of ``start``, into column i of the
-    complex (T, B) ``e`` and ``g`` at the sampled times. Each part is
-    x P + y Q formed with float products, not a complex one, whose bits
-    would depend on the time block's length; a part with x = y = 0 stays
-    0 and is left as it is."""
-    _, _, index, u, v = start
+def _write_amplitudes(start, e, g, first=0):
+    """A ``consume`` for ``_integrate_stack`` that writes one state's row of
+    block n, w P + i (w_g, w_e) Q with w = u + i v of ``start``, into column
+    n - first of the complex (T, B) ``e`` and ``g`` at the sampled times.
+    Each part is x P + y Q formed with float products, not a complex one,
+    whose bits would depend on the time block's length; a part with
+    x = y = 0 stays 0 and is left as it is."""
+    n, _, (u,), (v,) = start
     parts = []
     for out, x, y in (
         (e.real, u[:, 0], -v[:, 1]),
@@ -207,15 +207,15 @@ def _write_amplitudes(start, e, g):
         (g.real, u[:, 1], -v[:, 0]),
         (g.imag, v[:, 1], u[:, 0]),
     ):
-        rows = np.flatnonzero((x != 0) | (y != 0))
-        parts.append((out, rows, index[rows], x[rows], y[rows]))
+        cols = np.flatnonzero((x != 0) | (y != 0))
+        parts.append((out, n[cols] - first, cols, x[cols], y[cols]))
 
     def consume(start, big_p, big_q):
         stop = start + len(big_p)
-        for out, rows, cols, x, y in parts:
+        for out, at, cols, x, y in parts:
             u = big_p[:, cols] * x
             u += big_q[:, cols] * y
-            out[start:stop, rows] = u
+            out[start:stop, at] = u
 
     return consume
 
@@ -274,26 +274,11 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     pair = as_numbers(initial, "initial", 1, complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
-    blocks, rows = np.array([n]), pair[None]
-    grid, start = _check_solve(profile, t_grid, blocks, rows, rk4_step)
+    grid, start = _check_solve(profile, t_grid, pair[None, None], rk4_step, n)
     out = np.zeros((grid.size, 2), dtype=complex)
-    consume = _write_amplitudes(start, out[:, :1], out[:, 1:])
+    consume = _write_amplitudes(start, out[:, :1], out[:, 1:], n)
     _integrate_stack(*start[:2], profile, grid, consume, rk4_step)
     return out
-
-
-def _block_rows(e0, g0):
-    """The block rows of S joint pure states, as (blocks, rows).
-
-    Row s of the (S, n_max + 2) arrays e0 and g0 is laid out as
-    ``_initial_amplitudes`` lays it out. Row s (n_max + 1) + n of the
-    complex (S (n_max + 1), 2) ``rows`` is block n of state s, which pairs
-    e0[s, n] with g0[s, n+1], and ``blocks`` holds its n. The dark
-    amplitudes g0[:, 0] stay put and are in no block.
-    """
-    rows = np.stack([e0[:, :-1], g0[:, 1:]], axis=-1)
-    blocks = np.broadcast_to(np.arange(rows.shape[1]), rows.shape[:2])
-    return blocks.ravel(), rows.reshape(-1, 2)
 
 
 def oracle_evolve_pure(
@@ -306,8 +291,7 @@ def oracle_evolve_pure(
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     e0, g0 = _initial_amplitudes(atom, field)
-    blocks, rows = _block_rows(e0[None], g0[None])
-    grid, start = _check_solve(profile, t_grid, blocks, rows)
+    grid, start = _check_solve(profile, t_grid, np.stack([e0[:-1], g0[1:]], -1)[None])
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
@@ -318,8 +302,9 @@ def oracle_evolve_pure(
 
 def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     """The joint pure states ``oracle_evolve_mixed`` integrates for an atom
-    on a field, as (blocks, rows, dark): their block rows as
-    ``_block_rows`` returns them, and their dark |g,0> amplitudes.
+    on a field, as (rows, dark): the complex (state, block, 2) array whose
+    block b of state s is (e[s, b], g[s, b+1]), b = 0 .. n_max, and their
+    dark |g,0> amplitudes g[:, 0], which stay put and are in no block.
 
     Splits the atom into members v_k, rho = sum_k v_k v_k^dagger, the
     columns of its pivoted Cholesky factor: pivoting on the larger of
@@ -342,14 +327,14 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     if residue > _MEMBER_FLOOR:
         members.append((0.0, math.sqrt(residue)))
     v = np.array(members, dtype=complex)[:, ::-1 if swap else 1]
-    pure = field.amplitudes is not None
-    amp = field.amplitudes if pure else np.sqrt(field.weights)
+    amp = field.amplitudes if field.amplitudes is not None else np.sqrt(field.weights)
     e_of, g_of = _member_states(field)
-    e0 = np.zeros((e_of.step * len(v), field.n_max + 2), dtype=complex)
-    g0 = e0.copy()
-    e0[e_of, :-1] = v[:, 0, None] * amp
-    g0[g_of, :-1] = v[:, 1, None] * amp
-    return _block_rows(e0, g0) + (g0[:, 0],)
+    rows = np.zeros((e_of.step * len(v), amp.size, 2), dtype=complex)
+    dark = np.zeros(len(rows), dtype=complex)
+    rows[e_of, :, 0] = v[:, :1] * amp
+    rows[g_of, :-1, 1] = v[:, 1:] * amp[1:]
+    dark[g_of] = v[:, 1] * amp[0]
+    return rows, dark
 
 
 def _member_states(field):
@@ -361,8 +346,8 @@ def _member_states(field):
 
 
 # Products of the solver's block samples P and Q, as their factors: of a
-# block with itself, of block n (hi) with block n - 1 (lo), and block 0's
-# own samples.
+# block with itself, of each block (hi) with the one integrated before it
+# (lo), and the first integrated block's own samples.
 _PRODUCTS = {
     "P^2": lambda p, q: (p, p),
     "P*Q": lambda p, q: (p, q),
@@ -388,14 +373,14 @@ def _reduction_terms(atom, field, profile, t_grid):
     Only these per-block weights outlive the call; the rows and their
     start go before the solve.
     """
-    blocks, rows, dark = oracle_rows(atom, field)
-    grid, (n, r, _, u, v) = _check_solve(profile, t_grid, blocks, rows)
-    # c_e = a P + b Q and c_g = c P + d Q of state s in block m, at [s, m]
-    w = (u + 1j * v).reshape(dark.size, -1, 2)
+    rows, dark = oracle_rows(atom, field)
+    grid, (n, r, u, v) = _check_solve(profile, t_grid, rows)
+    # c_e = a P + b Q and c_g = c P + d Q of state s in block n[j], at [s, j]
+    w = u + 1j * v
     a, b, c, d = w[..., 0], 1j * w[..., 1], w[..., 1], 1j * w[..., 0]
 
     def same(x, y):  # sum_s Re(x conj(y)) at each live block
-        return np.sum((x * y.conj()).real, axis=0)[n]
+        return np.sum((x * y.conj()).real, axis=0)
 
     # rho_eg pairs each member's e_m with its g_m: block m's e with block
     # m - 1's g, and for m = 0 the dark g_0.
@@ -404,11 +389,15 @@ def _reduction_terms(atom, field, profile, t_grid):
     g_c, g_d = c[g_of].conj(), d[g_of].conj()
     g_dark = dark[g_of].conj()
 
-    # sum_s x[s, m] y[s, m - 1] at each live block m after the first; a
-    # block m - 1 whose rows all start at 0 has w = 0, so the live block
-    # before m, whose samples the product takes, then gets weight 0.
+    # sum_s x[s, j] y[s, j - 1] at each live block n[j] after the first,
+    # kept where the live block before it is n[j] - 1: the product takes
+    # the samples of the live block before, whatever its number.
     def lag(x, y):
-        return np.sum(x[:, 1:] * y[:, :-1], axis=0)[n[1:] - 1]
+        return np.where(np.diff(n) == 1, np.sum(x[:, 1:] * y[:, :-1], axis=0), 0)
+
+    # sum_s x[s, 0] g_dark[s] where the first live block is block 0.
+    def with_dark(x):
+        return np.where(n[:1] == 0, np.sum(x[:, :1].T * g_dark, axis=1), 0)
 
     terms = {
         "P^2": [(0, same(a, a)), (1, same(c, c))],
@@ -420,8 +409,8 @@ def _reduction_terms(atom, field, profile, t_grid):
         ("P_hi*Q_lo", lag(e_a, g_d)),
         ("Q_hi*P_lo", lag(e_b, g_c)),
         ("Q_hi*Q_lo", lag(e_b, g_d)),
-        ("P_0", np.sum(e_a[:, 0] * g_dark, keepdims=True)),
-        ("Q_0", np.sum(e_b[:, 0] * g_dark, keepdims=True)),
+        ("P_0", with_dark(e_a)),
+        ("Q_0", with_dark(e_b)),
     ):
         terms[kind] = [(2, w.real), (3, w.imag)]
     kept = [(k, [(part, w) for part, w in uses if w.any()]) for k, uses in terms.items()]

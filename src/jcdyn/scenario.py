@@ -497,7 +497,7 @@ def run(scenario: Scenario) -> ResultTable:
     rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
     if scenario.oracle_check:
         for _, dist, profile in cases:
-            _check_solve(profile, grid, *oracle_rows(rho0, dist)[:2])
+            _check_solve(profile, grid, oracle_rows(rho0, dist)[0])
 
     lead = ("t",) if scenario.sweep is None else ("sweep_value", "t")
     data = None

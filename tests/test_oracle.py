@@ -218,8 +218,8 @@ def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
     # whose |e> and |g> parts hold n_max + 1 rows of one live pair, n_max of
     # two, none and n_max of one, all in blocks 0 .. n_max
     rank2 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
-    _, rows, _ = oracle_rows(rank2, thermal)
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    rows, _ = oracle_rows(rank2, thermal)
+    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
     assert np.count_nonzero(live) == thermal.n_max + 1 + 3 * thermal.n_max
     rhos = oracle_evolve_mixed(rank2, thermal, CONST, grid)
     # ground on a real alpha: Re c_g of each block; the top block pairs two
@@ -252,6 +252,10 @@ PAIRING_FIELDS = {
     # block 1 holds no live pair for an excited atom, between live blocks
     # 0 and 2
     "gap": custom_distribution(weights=[0.5, 0.0, 0.5]),
+    # a pure field on which block 1 of an excited atom starts at 0, between
+    # live blocks 0 and 2, and block 1 is a ground atom's one live block,
+    # beside its dark |g,0>
+    "pure_gap": custom_distribution(amplitudes=[0.6, 0.0, 0.8j]),
 }
 
 
@@ -270,15 +274,15 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     grid = np.linspace(0.0, 3.0, 13)
     rhos = oracle_evolve_mixed(atom, field, SechCoupling(1.0, 0.2), grid)
     (((_, _, y0), _, _, samples),) = solves
-    numbers, rows, dark = oracle.oracle_rows(atom, field)
-    # Row r = (c_e, c_g) of block n of state s, r = s (n_max + 1) + n, holds
-    # pair 0 (Re c_e, Im c_g) and pair 1 (Re c_g, Im c_e); the solver gets
-    # one pair (r_n, 0) per block n that holds a pair starting nonzero, in
-    # block order, r_n the norm of those pairs.
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
-    r, j = np.nonzero(live)
-    p0, q0 = rows.real[r, j], rows.imag[r, 1 - j]
-    n, b = np.unique(numbers[r], return_inverse=True)
+    rows, dark = oracle.oracle_rows(atom, field)
+    # Row rows[s, n] = (c_e, c_g) of block n of state s holds pair 0
+    # (Re c_e, Im c_g) and pair 1 (Re c_g, Im c_e); the solver gets one pair
+    # (r_n, 0) per block n that holds a pair starting nonzero, in block
+    # order, r_n the norm of those pairs.
+    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
+    s, numbers, j = np.nonzero(live)
+    p0, q0 = rows.real[s, numbers, j], rows.imag[s, numbers, 1 - j]
+    n, b = np.unique(numbers, return_inverse=True)
     norms = [math.hypot(*p0[b == k], *q0[b == k]) for k in range(n.size)]
     np.testing.assert_allclose(y0[0::2], norms, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(y0[1::2], 0.0)
@@ -290,9 +294,9 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     big_p, big_q = samples[:, 2 * b], samples[:, 2 * b + 1]
     re = np.zeros((grid.size,) + rows.shape)
     im = np.zeros_like(re)
-    re[:, r, j] = big_p * wr - big_q * wi
-    im[:, r, 1 - j] = big_q * wr + big_p * wi
-    blocks = (re + 1j * im).reshape(grid.size, dark.size, -1, 2)
+    re[:, s, numbers, j] = big_p * wr - big_q * wi
+    im[:, s, numbers, 1 - j] = big_q * wr + big_p * wi
+    blocks = re + 1j * im
     e = np.zeros((grid.size, dark.size, field.n_max + 2), dtype=complex)
     g = np.zeros_like(e)
     e[:, :, :-1] = blocks[..., 0]
@@ -383,12 +387,12 @@ def solver_rows_and_pairs(solves, atom, field):
     assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
     (((_, _, y0), _, _, _),) = solves
     assert y0.dtype == float
-    blocks, rows, _ = oracle_rows(atom, field)
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
+    rows, _ = oracle_rows(atom, field)
+    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
     return (
-        np.count_nonzero(np.any(rows != 0, axis=1)),
+        np.count_nonzero(np.any(rows != 0, axis=-1)),
         np.count_nonzero(live),
-        np.unique(blocks[np.any(live, axis=1)]).size,
+        np.count_nonzero(np.any(live, axis=(0, 2))),
         y0.size // 2,
     )
 
@@ -454,10 +458,10 @@ def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
 
     rho = AtomDensityMatrix.from_atom_state(atom)
     field = coherent_amplitudes(1.2 + 0.9j if per_row == 2 else 1.2)
-    _, rows, _ = oracle_rows(rho, field)
+    (rows,), _ = oracle_rows(rho, field)  # one state: a block per row
     live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
     assert np.all(np.count_nonzero(live, axis=1) == per_row)
-    count = 16 * len(rows)  # one state: a block per row
+    count = 16 * len(rows)
     grid = np.linspace(0.0, 1.0, 5)
     monkeypatch.setattr(oracle, "MAX_ORACLE_SAMPLES", count)
     oracle_evolve_mixed(rho, field, CONST, grid)
@@ -820,8 +824,8 @@ FACTOR_ATOMS = {
 def test_atom_members_sum_to_the_density_matrix(atom, members):
     # On the one-level field |0>, state k holds member v_k as (e_0, dark g_0),
     # and sum_k v_k v_k^dagger is the atom; a pure atom is one member.
-    _, rows, dark = oracle_rows(atom, custom_distribution(amplitudes=[1.0]))
-    v = np.stack([rows[:, 0], dark], axis=1)
+    rows, dark = oracle_rows(atom, custom_distribution(amplitudes=[1.0]))
+    v = np.stack([rows[:, 0, 0], dark], axis=1)
     assert len(v) == members
     assert np.max(np.abs(v.T @ v.conj() - atom.as_matrix())) < 1e-15
 
@@ -834,7 +838,7 @@ def test_mixed_oracle_runs_at_the_positivity_edge(ee):
     gg = 1.0 - ee
     rho0 = AtomDensityMatrix(ee, gg, math.sqrt(ee * gg + 0.99e-10))
     field = thermal_weights(1.2)
-    _, _, dark = oracle_rows(rho0, field)
+    _, dark = oracle_rows(rho0, field)
     assert dark.size == 2  # one member: its |e> and |g> parts
     grid = np.linspace(0.0, 3.0, 13)
     profile = SechCoupling(1.0, 0.2)
@@ -879,9 +883,9 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
     assert span_end == t_end
     # One pair per photon block with a live pair, in block order; its
     # block n sets k.
-    blocks, rows, _ = oracle_rows(rho0, field)
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
-    n = np.unique(blocks[np.any(live, axis=1)])
+    rows, _ = oracle_rows(rho0, field)
+    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
+    n = np.flatnonzero(np.any(live, axis=(0, 2)))
     assert y0.dtype == float and y0.size == 2 * n.size
     plain = _plain_pair_rhs(np.sqrt(n + 1.0), profile, t_end)
     rng = np.random.default_rng(7)
