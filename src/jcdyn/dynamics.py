@@ -31,7 +31,8 @@ _RHO_TOL = 1e-10
 # Most (time, level) entries the reduced-atom kernel holds at once, about
 # 1 MB per complex temporary however wide the field; a field with more
 # levels than half of it takes one time point per block. The oracle takes
-# its (time, sample) blocks from the same budget.
+# its time blocks from the same budget, four entries per integrated pair
+# and time: its samples, its cosine and sine, their hypot and a quotient.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -207,22 +208,26 @@ def _rotate_blocks(e0, g0, area):
     """
     _check_angles(area, e0.size - 1)
     theta = area[:, None] * np.sqrt(np.arange(1.0, e0.size))
-    c = np.cos(theta)
-    s = np.sin(theta)
-    e_re, e_im = e0.real[:-1], e0.imag[:-1]
-    g_re, g_im = g0.real[1:], g0.imag[1:]
     e = np.empty((area.size, e0.size), dtype=complex)
     g = np.empty_like(e)
-    # e_n = c e0_n - i s g0_(n+1), written out in real and imaginary parts:
-    # the same values as the complex expression without casting c and s
-    # to complex.
-    e.real[:, :-1] = c * e_re + s * g_im
-    e.imag[:, :-1] = c * e_im - s * g_re
+    _rotate(e0[:-1], g0[1:], np.cos(theta), np.sin(theta), e[:, :-1], g[:, 1:])
     e[:, -1] = 0.0
-    g.real[:, 1:] = c * g_re + s * e_im
-    g.imag[:, 1:] = c * g_im - s * e_re
     g[:, 0] = g0[0]
     return e, g
+
+
+def _rotate(e0, g0, c, s, e, g):
+    """Write into the (T, B) ``e`` and ``g`` the pairs (e0[n], g0[n]) turned
+    by the angles whose cosines and sines are c[:, n] and s[:, n].
+
+    e = c e0 - i s g0 and g = c g0 - i s e0, written out in real and
+    imaginary parts: the same values as the complex expression without
+    casting c and s to complex.
+    """
+    e.real[:] = c * e0.real + s * g0.imag
+    e.imag[:] = c * e0.imag - s * g0.real
+    g.real[:] = c * g0.real + s * e0.imag
+    g.imag[:] = c * g0.imag - s * e0.real
 
 
 def _cos_sin(theta, out=None):
@@ -257,20 +262,21 @@ _PRODUCTS = {
 }
 
 
-def _reduced_sums(rho, field, area):
-    """Unconditioned (ee, gg, eg) columns of the atom for rho (x) field.
+def _term_table(rho, field, size):
+    """The terms of the atom for rho (x) field as ``_reduced_sums`` adds
+    them; returns (ee, eg, trace, kept).
 
-    Block n = (|e,n>, |g,n+1>) turns by theta_n = area * sqrt(n+1), the dark
-    |g,0> by theta_-1 = 0. Each column is rho * total plus scale * (product
-    @ weight) for each of its terms, eg's real and imaginary parts apart. The
-    weights come from p_n and, for a pure field, f_n = C_n conj(C_(n-1)) and
-    h_n = C_(n+1) conj(C_(n-1)); a term whose scale or weight is all 0 is
-    dropped. ``area`` is 1-D, taken in row blocks of ``_kernel_rows`` times
-    that share three block buffers.
+    ``ee`` and ``eg`` are the columns over ``size`` times, filled with
+    rho * total, ``trace`` is the trace of rho (x) field, and ``kept`` lists
+    each block trig product of ``_PRODUCTS`` that some term needs as
+    (kind, [(column, scale, weight)]), column a part of ee or eg. The
+    weights come from p_n and, for a pure field, f_n = C_n conj(C_(n-1))
+    and h_n = C_(n+1) conj(C_(n-1)); a term whose scale or weight is all 0
+    is dropped.
     """
     p, total = field.weights, field.weights.sum()
     ee_0, gg_0, eg_0 = rho.rho_ee, rho.rho_gg, rho.rho_eg
-    ee, eg = np.full(area.size, ee_0 * total), np.full(area.size, eg_0 * total)
+    ee, eg = np.full(size, ee_0 * total), np.full(size, eg_0 * total)
     d = gg_0 * np.append(p[1:], 0.0) - ee_0 * p  # per block, g minus e
     terms = {
         "s_hi^2": [(ee, 1.0, d)],
@@ -288,6 +294,32 @@ def _reduced_sums(rho, field, area):
         }
     kept = [(k, [u for u in us if u[1] != 0 and u[2].any()]) for k, us in terms.items()]
     kept = [(kind, uses) for kind, uses in kept if uses]
+    return ee, eg, (ee_0 + gg_0) * total, kept
+
+
+def _add_terms(kept, i, c, s, prod):
+    """Add the ``_term_table`` terms ``kept`` to rows i .. i + len(c) - 1 of
+    their columns, from the (rows, 1 + blocks) cosines ``c`` and sines
+    ``s`` of one row block: column 0 is the dark |g,0>'s angle 0, column
+    n + 1 block n's. Each product is written into ``prod``, a (rows,
+    blocks) buffer."""
+    for kind, uses in kept:
+        m = _PRODUCTS[kind](c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:], prod)
+        for column, scale, weight in uses:
+            column[i : i + len(c)] += scale * (m @ weight)
+
+
+def _reduced_sums(rho, field, area):
+    """Unconditioned (ee, gg, eg) columns of the atom for rho (x) field.
+
+    Block n = (|e,n>, |g,n+1>) turns by theta_n = area * sqrt(n+1), the dark
+    |g,0> by theta_-1 = 0. Each column is rho * total plus scale * (product
+    @ weight) for each of its terms (``_term_table``), eg's real and
+    imaginary parts apart. ``area`` is 1-D, taken in row blocks of
+    ``_kernel_rows`` times that share three block buffers.
+    """
+    ee, eg, trace, kept = _term_table(rho, field, area.size)
+    p = field.weights
     _check_angles(area, p.size)
     root = np.sqrt(np.arange(0.0, p.size + 1))  # angle k is area * sqrt(k)
     rows = _kernel_rows(field)
@@ -299,11 +331,8 @@ def _reduced_sums(rho, field, area):
     for i in range(0, area.size, rows):
         n = min(rows, area.size - i)
         c, s = _cos_sin(np.multiply(area[i : i + n, None], root, theta[:n]), cos[:n])
-        for kind, uses in kept:
-            m = _PRODUCTS[kind](c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:], prod[:n])
-            for column, scale, weight in uses:
-                column[i : i + n] += scale * (m @ weight)
-    return ee, (ee_0 + gg_0) * total - ee, eg
+        _add_terms(kept, i, c, s, prod[:n])
+    return ee, trace - ee, eg
 
 
 def evolve_pure(

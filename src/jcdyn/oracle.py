@@ -6,25 +6,28 @@ settings (or, in ``integrate_block``, fixed-step RK4), sampling lambda(t)
 pointwise at every stage. The integrator never sees the coupling area, so
 agreement with the closed-form path validates the area-based solution end
 to end. Block n's amplitudes obey i (d/dt)(c_e, c_g) = lambda(t) k
-(c_g, c_e), k = sqrt(n+1). Every row of block n, in every joint state of
-a run, obeys this one linear equation, so all follow one real pair (P, Q),
-P' = k lambda Q and Q' = -k lambda P, started at (r, 0), r the block's
-norm: (c_e, c_g) = w P + i (w_g, w_e) Q, w = (c_e0, c_g0) / r. A pair that
-starts at (0, 0) stays there, so the solver integrates one pair per photon
-block with a row that starts nonzero. These pairs are stacked into one
-flat real state vector, so the solver is called once per trajectory, and
-its samples come back in time blocks of one reused buffer, from which no
-complex row is built. ``oracle_evolve_mixed`` takes any atom on any field,
-as ``evolve_mixed`` does, and returns the reduced atom, summed through a
-table of products of the samples in time blocks as the solver hands them
-over, so that it holds the solver's working set, per-block weights and one
-time block, whatever the number of grid times. ``oracle_evolve_pure``
-returns the joint state of a pure atom on a pure field, writing each time
-block into it. Both evolve joint pure states through one helper, which
-takes them as one complex (state, block, 2) array of rows (e[b], g[b+1]);
-every block starts at its physical amplitude, for atom member v_k
+(c_g, c_e), k = sqrt(n+1), so the block turns by one angle theta_n
+whatever it starts from. The solver finds that angle from one real pair
+(P, Q) per photon block, P' = k lambda Q and Q' = -k lambda P, started at
+(r, 0) with r the block's norm: (P, Q) = r (cos theta_n, -sin theta_n).
+Every block starts at its physical amplitude, for atom member v_k
 (rho = sum_k v_k v_k^dagger): v_k C_n on a pure field, sqrt(p_n) v_k on a
-photon-diagonal one. So the solver tolerances act alike on every field.
+photon-diagonal one, so the solver's tolerances act alike on every field;
+a block that starts at 0 in every member is not integrated. The pairs are
+stacked into one flat real state vector, so the solver is called once per
+trajectory, and its samples come back in time blocks of one reused
+buffer. Each time block leaves as the cosines and sines (P, -Q) /
+hypot(P, Q) of the block angles, exactly (1, 0) for the dark |g,0> and
+for every block not integrated, and goes to the closed form's own code:
+``oracle_evolve_mixed`` adds the closed form's term table to the reduced
+atom (``dynamics._term_table`` and ``_add_terms``), and
+``oracle_evolve_pure`` and ``integrate_block`` turn the start amplitudes
+(``dynamics._rotate``). Each holds the solver's working set and one time
+block, whatever the number of grid times. So ``compare`` checks the block
+angles, which the closed form takes from the coupling area, and not the
+term table's weights; the joint-state identities of
+tests/test_properties.py and the batched-run checks of tests/test_batch.py
+hold those.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from .dynamics import (
     AtomState,
     JointPureState,
     _BLOCK_ELEMENTS,
+    _add_terms,
     _initial_amplitudes,
+    _rotate,
+    _term_table,
 )
 from .errors import InvalidInputError, NumericalFailureError, all_finite, as_numbers
 from .fields import PhotonDistribution
@@ -51,8 +57,8 @@ _MEMBER_FLOOR = 1e-15
 # _STAGES vectors of the integrated pairs, one per live photon block, and a
 # pair's 2 floats take the bytes of one complex value, so a pair counts as
 # 1; 256 MiB at 2^24.
-# The samples do not count: they arrive in time blocks, which the mixed
-# oracle reduces and the other entries copy into their return value.
+# The samples do not count: they arrive in time blocks, which leave as the
+# block angles' cosines and sines.
 MAX_ORACLE_SAMPLES = 2**24
 _STAGES = 16  # jcdyn.dop853.C.size, written out so the budget loads no solver
 
@@ -71,42 +77,35 @@ def solve_ivp(fun, t_span, y0, **options):
     return solve_ivp(fun, t_span, y0, **options)
 
 
-def _start(rows, first):
-    """Where the solver starts for the complex (state, block, 2) array
-    ``rows``, whose block b is photon block first + b; returns (n, r, u, v).
+def _start(e, g):
+    """Where the solver starts for the (member, block) start amplitudes
+    ``e`` and ``g``; returns (live, r).
 
-    ``n`` holds the numbers of the blocks in which some state's row starts
-    nonzero, in order, ``r`` each such block's norm over all its states,
-    and u + i v = rows / r as float parts on those blocks' columns
-    (``rows[:, n - first]``). A solve of more than
-    MAX_ORACLE_SAMPLES / _STAGES blocks is refused.
+    ``live`` holds the columns of the blocks in which some member starts
+    nonzero, in order, and ``r`` each such block's norm over all members.
+    A solve of more than MAX_ORACLE_SAMPLES / _STAGES blocks is refused.
     """
-    live = np.any(rows != 0, axis=(0, 2))
-    n = np.flatnonzero(live) + first
-    count = _STAGES * n.size
+    # Each block's norm by hypot, as squares of a wide field's far tails
+    # underflow, over every member's (Re e, Re g), then (Im g, Im e); a
+    # part that starts at 0 adds hypot(r, 0) = r.
+    r = np.zeros(e.shape[1])
+    for parts in (*zip(e.real, g.real), *zip(g.imag, e.imag)):
+        for x in parts:
+            np.hypot(r, x, out=r)
+    live = np.flatnonzero(r)
+    count = _STAGES * live.size
     if count > MAX_ORACLE_SAMPLES:
         raise InvalidInputError(
             f"oracle needs {count} complex stage values, over the budget of "
             f"{MAX_ORACLE_SAMPLES}"
         )
-    rows = rows[:, live]
-    # Each block's norm by hypot, as squares of a wide field's far tails
-    # underflow, over every state's p (Re c_e, Re c_g), then q (Im c_g,
-    # Im c_e); a row that starts at 0 adds hypot(r, 0) = r.
-    r = np.zeros(n.size)
-    for part in (rows.real, rows.imag[..., ::-1]):
-        for x in np.vstack(part.swapaxes(1, 2)):
-            np.hypot(r, x, out=r)
-    # Float division: numpy's complex division multiplies by 1 / r.
-    return n, r, rows.real / r[:, None], rows.imag / r[:, None]
+    return live, r[live]
 
 
-def _check_solve(profile, t_grid, rows, rk4_step=None, first=0):
-    """Check a solve of the complex (state, block, 2) array ``rows``, block
-    b the photon block first + b, over ``t_grid`` before its first step;
-    returns the grid and the solver's start (``_start``): each row follows
-    its block's pair as (c_e, c_g) = w P + i (w_g, w_e) Q
-    (``_integrate_stack``).
+def _check_solve(profile, t_grid, e, g, rk4_step=None, first=0):
+    """Check a solve of the (member, block) start amplitudes ``e`` and
+    ``g``, block b the photon block first + b, over ``t_grid`` before its
+    first step; returns the grid and the solver's start (``_start``).
 
     The grid is checked as a time is (``_as_times``), and must be a
     non-empty 1-D array that starts at 0 and rises strictly. The stages
@@ -125,11 +124,11 @@ def _check_solve(profile, t_grid, rows, rk4_step=None, first=0):
     gaps = np.diff(grid)
     if not np.all(gaps > 0.0):
         raise InvalidInputError("t_grid must increase strictly")
-    start = _start(rows, first)
+    start = _start(e, g)
     if rk4_step is None:
         from .dop853 import MAX_STEP
 
-        top = np.max(start[0], initial=0)
+        top = np.max(start[0] + first, initial=0)
         rate = np.abs(lambda_at(profile, grid))
         with np.errstate(over="ignore"):
             phase = math.sqrt(top + 1.0) * np.sum((rate[1:] + rate[:-1]) * gaps) / 2
@@ -145,43 +144,53 @@ def _check_solve(profile, t_grid, rows, rk4_step=None, first=0):
     return grid, start
 
 
-def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
-    """Evolve one real pair per photon block, handing its samples to
+def _integrate_stack(live, r, blocks, profile, grid, consume, rk4_step=None, first=0):
+    """Evolve one real pair per live photon block, handing its angles to
     ``consume``.
 
-    Block n's pair obeys (P, Q)' = lambda(t) sqrt(n+1) (Q, -P) from
-    (r, 0), ``n`` and ``r`` as ``_check_solve`` gave them, so its row
-    w r = (c_e0, c_g0) is (c_e, c_g) = w P + i (w_g, w_e) Q. The pairs are
+    Block first + live[j]'s pair obeys (P, Q)' = lambda(t) sqrt(n+1) (Q, -P)
+    from (r[j], 0), ``live`` and ``r`` as ``_check_solve`` gave them, so it
+    is r (cos theta, -sin theta) for the block's angle theta. The pairs are
     stepped as one float vector, by DOP853, or with ``rk4_step`` set, by
     fixed-step RK4 subdividing each grid interval evenly into steps of at
     most that size. Each run of grid times start..stop-1 that fills a block
     of _BLOCK_ELEMENTS entries (one time at least), and the rest at the
-    end, is checked finite and handed to ``consume(start, P, Q)`` as soon
-    as it is complete, P and Q the (stop - start, len(n)) views of the
-    samples; their buffer is then reused.
+    end, is checked finite and handed to ``consume(start, c, s)`` as soon
+    as it is complete: c and s are (stop - start, 1 + blocks) views of two
+    reused buffers, (P, -Q) / hypot(P, Q) in column 1 + live[j], and
+    exactly (1, 0) in column 0 and in every block that is not live.
     """
-    y0 = np.zeros(2 * n.size)
+    y0 = np.zeros(2 * live.size)
     y0[0::2] = r
-    coef = (np.sqrt(n + 1.0)[:, None] * [1.0, -1.0]).ravel()
-    # A time takes two of the _BLOCK_ELEMENTS entries per pair: its samples
-    # (two floats, the bytes of one complex value), and as much again for
-    # what the consumer forms from them.
-    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, 2 * n.size)))
+    coef = (np.sqrt(live + first + 1.0)[:, None] * [1.0, -1.0]).ravel()
+    # A time takes four of the _BLOCK_ELEMENTS entries per pair: its samples
+    # (two floats, the bytes of one complex value), its cosine and sine
+    # (as much again), their hypot and a quotient (one float each), and
+    # the consumer's products and rotations.
+    size = min(grid.size, max(1, _BLOCK_ELEMENTS // max(1, 4 * live.size)))
     buf = np.empty((size, y0.size))
-    first = 0  # grid index of buf[0]
+    norm = np.empty((size, live.size))
+    cos = np.ones((size, 1 + blocks))
+    sin = np.zeros_like(cos)
+    columns = 1 + live
+    done = 0  # grid index of buf[0]
 
     def flush(stop):
-        m = stop - first
+        m = stop - done
         if not all_finite(buf[:m]):
             raise NumericalFailureError("reference integrator produced non-finite values")
-        consume(first, buf[:m, 0::2], buf[:m, 1::2])
+        big_p, big_q = buf[:m, 0::2], buf[:m, 1::2]
+        h = np.hypot(big_p, big_q, out=norm[:m])
+        cos[:m, columns] = big_p / h
+        sin[:m, columns] = big_q / np.negative(h, out=h)
+        consume(done, cos[:m], sin[:m])
 
     def sink(start, stop):
-        nonlocal first
-        if start == first + size:
+        nonlocal done
+        if start == done + size:
             flush(start)
-            first = start
-        return buf[start - first : min(stop, first + size) - first]
+            done = start
+        return buf[start - done : min(stop, done + size) - done]
 
     t_end = float(grid[-1])
     if y0.size == 0 or t_end == 0.0:
@@ -190,34 +199,6 @@ def _integrate_stack(n, r, profile, grid, consume, rk4_step=None):
     else:
         _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink)
     flush(grid.size)
-
-
-def _write_amplitudes(start, e, g, first=0):
-    """A ``consume`` for ``_integrate_stack`` that writes one state's row of
-    block n, w P + i (w_g, w_e) Q with w = u + i v of ``start``, into column
-    n - first of the complex (T, B) ``e`` and ``g`` at the sampled times.
-    Each part is x P + y Q formed with float products, not a complex one,
-    whose bits would depend on the time block's length; a part with
-    x = y = 0 stays 0 and is left as it is."""
-    n, _, (u,), (v,) = start
-    parts = []
-    for out, x, y in (
-        (e.real, u[:, 0], -v[:, 1]),
-        (e.imag, v[:, 0], u[:, 1]),
-        (g.real, u[:, 1], -v[:, 0]),
-        (g.imag, v[:, 1], u[:, 0]),
-    ):
-        cols = np.flatnonzero((x != 0) | (y != 0))
-        parts.append((out, n[cols] - first, cols, x[cols], y[cols]))
-
-    def consume(start, big_p, big_q):
-        stop = start + len(big_p)
-        for out, at, cols, x, y in parts:
-            u = big_p[:, cols] * x
-            u += big_q[:, cols] * y
-            out[start:stop, at] = u
-
-    return consume
 
 
 def _integrate_nonzero(coef, y0, profile, grid, rk4_step, sink):
@@ -274,10 +255,15 @@ def integrate_block(n, initial, profile, t_grid, rk4_step=None):
     pair = as_numbers(initial, "initial", 1, complex)
     if pair.shape != (2,):
         raise InvalidInputError("initial must be a pair of amplitudes")
-    grid, start = _check_solve(profile, t_grid, pair[None, None], rk4_step, n)
+    e0, g0 = pair[:1], pair[1:]
+    grid, start = _check_solve(profile, t_grid, e0[None], g0[None], rk4_step, n)
     out = np.zeros((grid.size, 2), dtype=complex)
-    consume = _write_amplitudes(start, out[:, :1], out[:, 1:], n)
-    _integrate_stack(*start[:2], profile, grid, consume, rk4_step)
+
+    def write(i, c, s):
+        stop = i + len(c)
+        _rotate(e0, g0, c[:, 1:], s[:, 1:], out[i:stop, :1], out[i:stop, 1:])
+
+    _integrate_stack(*start, 1, profile, grid, write, rk4_step, n)
     return out
 
 
@@ -291,32 +277,28 @@ def oracle_evolve_pure(
     if field.amplitudes is None:
         raise InvalidInputError("field is mixed; oracle_evolve_mixed handles it")
     e0, g0 = _initial_amplitudes(atom, field)
-    grid, start = _check_solve(profile, t_grid, np.stack([e0[:-1], g0[1:]], -1)[None])
+    grid, start = _check_solve(profile, t_grid, e0[None, :-1], g0[None, 1:])
     e = np.zeros((grid.size, e0.size), dtype=complex)
     g = np.zeros_like(e)
     g[:, 0] = g0[0]
-    consume = _write_amplitudes(start, e[:, :-1], g[:, 1:])
-    _integrate_stack(*start[:2], profile, grid, consume)
+
+    def write(i, c, s):
+        stop = i + len(c)
+        _rotate(e0[:-1], g0[1:], c[:, 1:], s[:, 1:], e[i:stop, :-1], g[i:stop, 1:])
+
+    _integrate_stack(*start, field.n_max + 1, profile, grid, write)
     return JointPureState(e, g, grid)
 
 
-def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
-    """The joint pure states ``oracle_evolve_mixed`` integrates for an atom
-    on a field, as (rows, dark): the complex (state, block, 2) array whose
-    block b of state s is (e[s, b], g[s, b+1]), b = 0 .. n_max, and their
-    dark |g,0> amplitudes g[:, 0], which stay put and are in no block.
+def _members(atom: AtomDensityMatrix):
+    """The atom's members v_k, rho = sum_k v_k v_k^dagger, as a complex
+    (member, 2) array of their (|e>, |g>) amplitudes.
 
-    Splits the atom into members v_k, rho = sum_k v_k v_k^dagger, the
-    columns of its pivoted Cholesky factor: pivoting on the larger of
-    rho_ee and rho_gg, say rho_ee = a, v_0 = (sqrt(a), conj(rho_eg) /
-    sqrt(a)) and v_1 = (0, sqrt(s)), s = rho_gg - |rho_eg|^2 / a, clamped at
-    0 and dropped under _MEMBER_FLOOR. Any such split gives the same
-    reduced dynamics. On a pure field member k is one joint pure state
-    v_k (x) C, state k. On a photon-diagonal field member k splits into two:
-    its |e> part, sqrt(p_n) v_k,e on |e,n>, state 2k, and its |g> part,
-    sqrt(p_n) v_k,g on |g,n>, state 2k + 1 (``_member_states``).
-    ``_check_solve`` on the rows checks the solve's budgets, so a caller can
-    refuse a case before anything runs.
+    They are the columns of its pivoted Cholesky factor: pivoting on the
+    larger of rho_ee and rho_gg, say rho_ee = a, v_0 = (sqrt(a),
+    conj(rho_eg) / sqrt(a)) and v_1 = (0, sqrt(s)), s = rho_gg -
+    |rho_eg|^2 / a, clamped at 0 and dropped under _MEMBER_FLOOR. Any such
+    split gives the same reduced dynamics.
     """
     ee, gg, eg = float(atom.rho_ee), float(atom.rho_gg), complex(atom.rho_eg)
     swap = gg > ee  # pivot on |g>: factor in the (g, e) basis
@@ -326,96 +308,25 @@ def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
     members = [(top, c.conjugate() / top)]
     if residue > _MEMBER_FLOOR:
         members.append((0.0, math.sqrt(residue)))
-    v = np.array(members, dtype=complex)[:, ::-1 if swap else 1]
-    amp = field.amplitudes if field.amplitudes is not None else np.sqrt(field.weights)
-    e_of, g_of = _member_states(field)
-    rows = np.zeros((e_of.step * len(v), amp.size, 2), dtype=complex)
-    dark = np.zeros(len(rows), dtype=complex)
-    rows[e_of, :, 0] = v[:, :1] * amp
-    rows[g_of, :-1, 1] = v[:, 1:] * amp[1:]
-    dark[g_of] = v[:, 1] * amp[0]
-    return rows, dark
+    return np.array(members, dtype=complex)[:, ::-1 if swap else 1]
 
 
-def _member_states(field):
-    """The states of ``oracle_rows`` that hold the atom members' |e> and |g>
-    amplitudes on ``field``, as two slices: states k and k on a pure field,
-    2k and 2k + 1 on a photon-diagonal one."""
-    stride = 1 if field.amplitudes is not None else 2
-    return slice(0, None, stride), slice(stride - 1, None, stride)
-
-
-# Products of the solver's block samples P and Q, as their factors: of a
-# block with itself, of each block (hi) with the one integrated before it
-# (lo), and the first integrated block's own samples.
-_PRODUCTS = {
-    "P^2": lambda p, q: (p, p),
-    "P*Q": lambda p, q: (p, q),
-    "Q^2": lambda p, q: (q, q),
-    "P_hi*P_lo": lambda p, q: (p[:, 1:], p[:, :-1]),
-    "P_hi*Q_lo": lambda p, q: (p[:, 1:], q[:, :-1]),
-    "Q_hi*P_lo": lambda p, q: (q[:, 1:], p[:, :-1]),
-    "Q_hi*Q_lo": lambda p, q: (q[:, 1:], q[:, :-1]),
-    "P_0": lambda p, q: (p[:, :1],),
-    "Q_0": lambda p, q: (q[:, :1],),
-}
-
-
-def _reduction_terms(atom, field, profile, t_grid):
-    """Check the mixed oracle's solve and weigh its products; returns
-    (grid, n, r, dark_gg, kept).
-
-    ``n`` and ``r`` are the solver's blocks and start norms (``_start``),
-    dark_gg the dark amplitudes' share of rho_gg, and ``kept`` lists each
-    ``_PRODUCTS`` entry with a weight that is not all 0 as
-    (kind, [(part, weight)]): part 0 to 3 is rho_ee, rho_gg, Re rho_eg or
-    Im rho_eg, and the weight holds one number per column of the product.
-    Only these per-block weights outlive the call; the rows and their
-    start go before the solve.
+def oracle_rows(atom: AtomDensityMatrix, field: PhotonDistribution):
+    """Where ``oracle_evolve_mixed`` starts each photon block for an atom on
+    a field, as the complex (member, block) arrays (e, g): e[k, n] =
+    v_k,e A_n and g[k, n] = v_k,g A_(n+1), 0 past the cutoff, for the atom's
+    members v_k (``_members``) and the field's amplitudes A, C_n on a pure
+    field and sqrt(p_n) on a photon-diagonal one. So every block starts at
+    its physical norm, and the solver's tolerances act alike on every
+    field. ``_check_solve`` on them checks the solve's budgets, so a caller
+    can refuse a case before anything runs.
     """
-    rows, dark = oracle_rows(atom, field)
-    grid, (n, r, u, v) = _check_solve(profile, t_grid, rows)
-    # c_e = a P + b Q and c_g = c P + d Q of state s in block n[j], at [s, j]
-    w = u + 1j * v
-    a, b, c, d = w[..., 0], 1j * w[..., 1], w[..., 1], 1j * w[..., 0]
-
-    def same(x, y):  # sum_s Re(x conj(y)) at each live block
-        return np.sum((x * y.conj()).real, axis=0)
-
-    # rho_eg pairs each member's e_m with its g_m: block m's e with block
-    # m - 1's g, and for m = 0 the dark g_0.
-    e_of, g_of = _member_states(field)
-    e_a, e_b = a[e_of], b[e_of]
-    g_c, g_d = c[g_of].conj(), d[g_of].conj()
-    g_dark = dark[g_of].conj()
-
-    # sum_s x[s, j] y[s, j - 1] at each live block n[j] after the first,
-    # kept where the live block before it is n[j] - 1: the product takes
-    # the samples of the live block before, whatever its number.
-    def lag(x, y):
-        return np.where(np.diff(n) == 1, np.sum(x[:, 1:] * y[:, :-1], axis=0), 0)
-
-    # sum_s x[s, 0] g_dark[s] where the first live block is block 0.
-    def with_dark(x):
-        return np.where(n[:1] == 0, np.sum(x[:, :1].T * g_dark, axis=1), 0)
-
-    terms = {
-        "P^2": [(0, same(a, a)), (1, same(c, c))],
-        "P*Q": [(0, 2 * same(a, b)), (1, 2 * same(c, d))],
-        "Q^2": [(0, same(b, b)), (1, same(d, d))],
-    }
-    for kind, w in (
-        ("P_hi*P_lo", lag(e_a, g_c)),
-        ("P_hi*Q_lo", lag(e_a, g_d)),
-        ("Q_hi*P_lo", lag(e_b, g_c)),
-        ("Q_hi*Q_lo", lag(e_b, g_d)),
-        ("P_0", with_dark(e_a)),
-        ("Q_0", with_dark(e_b)),
-    ):
-        terms[kind] = [(2, w.real), (3, w.imag)]
-    kept = [(k, [(part, w) for part, w in uses if w.any()]) for k, uses in terms.items()]
-    kept = [(kind, uses) for kind, uses in kept if uses]
-    return grid, n, r, np.sum(np.abs(dark) ** 2), kept
+    v = _members(atom)
+    amp = field.amplitudes if field.amplitudes is not None else np.sqrt(field.weights)
+    e = v[:, :1] * amp
+    g = np.zeros_like(e)
+    g[:, :-1] = v[:, 1:] * amp[1:]
+    return e, g
 
 
 def oracle_evolve_mixed(
@@ -423,36 +334,21 @@ def oracle_evolve_mixed(
 ) -> AtomDensityMatrix:
     """Numerically integrated counterpart of ``evolve_mixed``, for any field.
 
-    Integrates the joint pure states of ``oracle_rows``. On a pure field
-    their photon sectors are coherent, so the coherence pairs each state
-    with itself. On a photon-diagonal field photon sector n keeps the |e>
-    part in block n and the |g> part in block n - 1, so the populations are
-    sums of squared amplitudes and the coherence pairs the |e> part's e_n
-    with the |g> part's g_n. Every amplitude is a fixed linear function of
-    its block's samples (``_integrate_stack``), so each sum is one of
-    products of the samples (``_PRODUCTS``), each summed against per-block
-    weights (``_reduction_terms``) by numpy's own loops, whose bits no BLAS
-    thread count changes. A product whose weights are all 0 is not formed.
-    The sums are taken one time block at a time as the solver completes
-    it, without building the joint states or keeping the samples. Returns
-    the batch form of AtomDensityMatrix, one row per grid time.
+    Integrates one pair per photon block from ``oracle_rows``'s start, and
+    hands each time block's angles, as cosines and sines, to the closed
+    form's own term table (``dynamics._term_table`` and ``_add_terms``),
+    one time block at a time as the solver completes it, without building
+    the joint states or keeping the samples. Returns the batch form of
+    AtomDensityMatrix, one row per grid time.
     """
-    grid, n, r, dark_gg, kept = _reduction_terms(atom, field, profile, t_grid)
-    ee = np.zeros(grid.size)
-    gg = np.full(grid.size, dark_gg)
-    eg = np.zeros(grid.size, dtype=complex)
-    parts = (ee, gg, eg.real, eg.imag)
+    grid, start = _check_solve(profile, t_grid, *oracle_rows(atom, field))
+    ee, eg, trace, kept = _term_table(atom, field, grid.size)
+    blocks = field.weights.size
 
-    def reduce(start, big_p, big_q):
-        stop = start + len(big_p)
-        for kind, uses in kept:
-            factors = _PRODUCTS[kind](big_p, big_q)
-            # One loop forms and sums each product: no (time, block) copy.
-            spec = "tn," * len(factors) + "n->t"
-            for part, weight in uses:
-                parts[part][start:stop] += np.einsum(spec, *factors, weight)
+    def reduce(i, c, s):
+        _add_terms(kept, i, c, s, np.empty((len(c), blocks)))
 
-    _integrate_stack(n, r, profile, grid, reduce)
+    _integrate_stack(*start, blocks, profile, grid, reduce)
     # Condition on the retained sectors exactly as evolve_mixed does, so
     # comparisons measure dynamics error rather than the truncation deficit.
-    return AtomDensityMatrix.conditioned(ee, gg, eg)
+    return AtomDensityMatrix.conditioned(ee, trace - ee, eg)

@@ -403,7 +403,10 @@ COHERENCE_PRODUCTS = ("c_hi*s_hi", "c_hi*s_lo", "s_hi*c_lo", "s_hi*s_lo")
 
 def kernel_counts(monkeypatch, atom, field):
     """{product: [times formed, matvecs made]} over one run of a 51-time
-    case, which fits one row block, so the counts are per row block."""
+    case, which fits one row block, so the counts are per row block; a
+    density matrix, which no scenario holds, is evolved directly. The mixed
+    oracle hands its angles to the same term table, one time block at a
+    time, and the case's 51 times fit one, so it must count the same."""
     counts, calls = {}, []
     reduced_sums = dynamics._reduced_sums
 
@@ -429,17 +432,29 @@ def kernel_counts(monkeypatch, atom, field):
     monkeypatch.setattr(dynamics, "_reduced_sums", counted_sums)
     for kind, product in dynamics._PRODUCTS.items():
         monkeypatch.setitem(dynamics._PRODUCTS, kind, counted(kind, product))
+    matrix = isinstance(atom, AtomDensityMatrix)
     scenario = parse_scenario(
         {
-            "atom": atom,
+            "atom": "excited" if matrix else atom,
             "field": field,
             "profile": {"constant": {"lambda0": 1}},
             "time": {"t_end": 10, "steps": 51},
         }
     )
-    run(scenario)
+    grid = np.linspace(0.0, scenario.t_end, scenario.steps)
+    dist = scenario.field.build(scenario.tail_epsilon)
+    if matrix:
+        rho0 = atom
+        evolve_mixed(rho0, dist, scenario.profile, grid)
+    else:
+        rho0 = AtomDensityMatrix.from_atom_state(scenario.atom.to_state())
+        run(scenario)
     assert len(calls) == 1
-    return counts
+    kernel = {kind: list(count) for kind, count in counts.items()}
+    counts.clear()
+    oracle_evolve_mixed(rho0, dist, scenario.profile, grid)
+    assert counts == kernel
+    return kernel
 
 
 @pytest.mark.parametrize(
@@ -477,6 +492,8 @@ def test_reduced_sums_skip_zero_atomic_factors(monkeypatch, atom, field, per_blo
         # A complex rho_eg too: 1-c_lo*c_hi on both parts.
         (CUSTOM_ATOM, {"coherent": [1.2, 0.9]}, 6, 10),
         (CUSTOM_ATOM, {"thermal": 2}, 2, 3),
+        # A rank-2 atom on a complex alpha: every product, as CUSTOM_ATOM.
+        (AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j), {"coherent": [1.2, 0.9]}, 6, 10),
     ),
 )
 def test_reduced_sums_form_each_product_once(

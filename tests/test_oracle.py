@@ -165,7 +165,7 @@ def max_gap(a, b):
 
 
 @pytest.mark.parametrize("field", PURE_FIELDS.values(), ids=PURE_FIELDS.keys())
-def test_mixed_oracle_takes_pure_fields(field):
+def test_mixed_oracle_takes_pure_fields(field, solves):
     grid = np.linspace(0.0, 8.0, 33)
     prof = LinearCoupling(1.0, 0.16)
     rho0 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)  # rank 2
@@ -181,12 +181,16 @@ def test_mixed_oracle_takes_pure_fields(field):
         *(sum(w * getattr(m, n) for w, m in zip(vals, members)) for n in RHO_ENTRIES)
     )
     assert max_gap(rhos, mixture) < 1e-9
-    # A pure atom is one joint state, the one oracle_evolve_pure integrates.
+    # A pure atom is one joint state, the one oracle_evolve_pure integrates:
+    # the same start and the same samples.
     atom = AtomState(0.8, 0.6j)
     rhos = oracle_evolve_mixed(
         AtomDensityMatrix.from_atom_state(atom), field, prof, grid
     )
     ref = reduced_atom(oracle_evolve_pure(atom, field, prof, grid))
+    (mixed_args, _, _, mixed_samples), (pure_args, _, _, pure_samples) = solves[-2:]
+    assert mixed_args[2].tobytes() == pure_args[2].tobytes()
+    assert mixed_samples.tobytes() == pure_samples.tobytes()
     assert max_gap(rhos, ref) < 1e-12
 
 
@@ -215,12 +219,13 @@ def test_oracle_integrates_only_rows_that_start_nonzero(monkeypatch):
     # Re c_e of each: one live pair per block
     oracle_evolve_mixed(AtomDensityMatrix(1.0, 0.0, 0.0), thermal, CONST, grid)
     # rank 2: members (sqrt(0.7), conj(rho_eg) / sqrt(0.7)) and (0, sqrt(s)),
-    # whose |e> and |g> parts hold n_max + 1 rows of one live pair, n_max of
-    # two, none and n_max of one, all in blocks 0 .. n_max
+    # whose amplitudes start with n_max + 1 nonzero real parts on |e>, and
+    # n_max nonzero real and imaginary parts on |g> and n_max real ones,
+    # all in blocks 0 .. n_max
     rank2 = AtomDensityMatrix(0.7, 0.3, 0.2 + 0.1j)
-    rows, _ = oracle_rows(rank2, thermal)
-    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
-    assert np.count_nonzero(live) == thermal.n_max + 1 + 3 * thermal.n_max
+    e, g = oracle_rows(rank2, thermal)
+    parts = [np.count_nonzero(x) for x in (e.real, e.imag, g.real, g.imag)]
+    assert parts == [thermal.n_max + 1, 0, 2 * thermal.n_max, thermal.n_max]
     rhos = oracle_evolve_mixed(rank2, thermal, CONST, grid)
     # ground on a real alpha: Re c_g of each block; the top block pairs two
     # empty slots and is skipped
@@ -264,9 +269,12 @@ PAIRING_FIELDS = {
 def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     atom_name, field_name, solves, monkeypatch
 ):
-    # The reduction sums products of the solver's samples, block by block
-    # as they come; scattering the same pairs back into joint states and
-    # reducing those must agree with it.
+    # The oracle hands each block's integrated angle, as (cos, sin), to the
+    # closed form's term table, time block by time block; turning every
+    # joint state of the atom's members by the same angles and reducing
+    # those must agree with it. A block that starts at 0 in every state is
+    # not integrated and gets the angle 0, (1, 0): on the gap fields the
+    # excited and ground atoms have one, and it must add nothing.
     from jcdyn import oracle
 
     monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 400)  # several time blocks
@@ -274,95 +282,51 @@ def test_mixed_reduction_pairs_rows_as_the_joint_states_do(
     grid = np.linspace(0.0, 3.0, 13)
     rhos = oracle_evolve_mixed(atom, field, SechCoupling(1.0, 0.2), grid)
     (((_, _, y0), _, _, samples),) = solves
-    rows, dark = oracle.oracle_rows(atom, field)
-    # Row rows[s, n] = (c_e, c_g) of block n of state s holds pair 0
-    # (Re c_e, Im c_g) and pair 1 (Re c_g, Im c_e); the solver gets one pair
-    # (r_n, 0) per block n that holds a pair starting nonzero, in block
-    # order, r_n the norm of those pairs.
-    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
-    s, numbers, j = np.nonzero(live)
-    p0, q0 = rows.real[s, numbers, j], rows.imag[s, numbers, 1 - j]
-    n, b = np.unique(numbers, return_inverse=True)
-    norms = [math.hypot(*p0[b == k], *q0[b == k]) for k in range(n.size)]
-    np.testing.assert_allclose(y0[0::2], norms, rtol=1e-15, atol=0)
+    # The joint states at t = 0, one slot past the cutoff: member v_k is one
+    # state, v_k,e C_n on |e,n> and v_k,g C_n on |g,n>, on a pure field; on
+    # a photon-diagonal one its |e> and |g> parts are two, with sqrt(p_n).
+    v = oracle._members(atom)
+    pure = field.amplitudes is not None
+    amp = field.amplitudes if pure else np.sqrt(field.weights)
+    parts = [v] if pure else [v * [1, 0], v * [0, 1]]
+    # on a diagonal field, member k's |e> part is state 2k, its |g> part 2k + 1
+    states = np.stack(parts, axis=1).reshape(-1, 2)
+    e0 = np.zeros((len(states), amp.size + 1), dtype=complex)
+    g0 = np.zeros_like(e0)
+    e0[:, :-1] = states[:, :1] * amp
+    g0[:, :-1] = states[:, 1:] * amp
+    # The solver gets one pair (r_n, 0) per block n = (e0[n], g0[n+1]) that
+    # starts nonzero in some state, in block order, r_n its norm over them.
+    norms = np.array(
+        [math.hypot(*np.abs(e0[:, n]), *np.abs(g0[:, n + 1])) for n in range(amp.size)]
+    )
+    live = np.flatnonzero(norms)
+    np.testing.assert_allclose(y0[0::2], norms[live], rtol=1e-15, atol=0)
     np.testing.assert_array_equal(y0[1::2], 0.0)
     if (atom_name, field_name) == ("ground", "coherent"):
         # the top block pairs two empty slots
-        assert n.size == field.n_max
-    # Each pair z0 = p0 + i q0 follows its block's (P, Q) as (z0 / r_n)(P + i Q).
-    wr, wi = p0 / y0[2 * b], q0 / y0[2 * b]
-    big_p, big_q = samples[:, 2 * b], samples[:, 2 * b + 1]
-    re = np.zeros((grid.size,) + rows.shape)
-    im = np.zeros_like(re)
-    re[:, s, numbers, j] = big_p * wr - big_q * wi
-    im[:, s, numbers, 1 - j] = big_q * wr + big_p * wi
-    blocks = re + 1j * im
-    e = np.zeros((grid.size, dark.size, field.n_max + 2), dtype=complex)
+        assert live.size == field.n_max
+    # Pair n is r_n (cos theta_n, -sin theta_n); every other block keeps (1, 0).
+    big_p, big_q = samples[:, 0::2], samples[:, 1::2]
+    c = np.ones((grid.size, amp.size))
+    s = np.zeros_like(c)
+    c[:, live] = big_p / np.hypot(big_p, big_q)
+    s[:, live] = -big_q / np.hypot(big_p, big_q)
+    c, s = c[:, None], s[:, None]
+    e = np.zeros((grid.size,) + e0.shape, dtype=complex)
     g = np.zeros_like(e)
-    e[:, :, :-1] = blocks[..., 0]
-    g[:, :, 1:] = blocks[..., 1]
-    g[:, :, 0] = dark
-    # Joint states per atom member: one on a pure field, |e> and |g> parts
-    # on a photon-diagonal one.
-    k = 1 if field.amplitudes is not None else 2
+    e[..., :-1] = c * e0[:, :-1] - 1j * s * g0[:, 1:]
+    g[..., 1:] = c * g0[:, 1:] - 1j * s * e0[:, :-1]
+    g[..., 0] = g0[:, 0]
+    # A member's coherence pairs its own e with its own g: within its one
+    # state on a pure field, across its |e> and |g> parts on a diagonal one.
+    k = 1 if pure else 2
     ref = AtomDensityMatrix.conditioned(
         np.sum(np.abs(e) ** 2, axis=(1, 2)),
         np.sum(np.abs(g) ** 2, axis=(1, 2)),
         np.sum(e[:, 0::k] * g[:, k - 1 :: k].conj(), axis=(1, 2)),
     )
-    assert max_gap(rhos, ref) < 1e-15
-
-
-# The products a mixed oracle run on a thermal field forms: the weights of
-# the others are all 0. On excited or ground, rho_eg is 0 and formed from
-# nothing; plus_x's |e> and |g> parts are real and in different states,
-# so no row mixes P and Q.
-THERMAL_PRODUCTS = {
-    "excited": {"P^2", "Q^2"},
-    "ground": {"P^2", "Q^2"},
-    "plus_x": {"P^2", "Q^2", "P_hi*P_lo", "P_0"},
-}
-
-
-def product_counts(monkeypatch, atom, field):
-    """{product: times formed} over one mixed oracle run of one time block,
-    checked against the closed form."""
-    from jcdyn import oracle
-
-    counts = Counter()
-
-    def counted(kind, product):
-        def form(*samples):
-            counts[kind] += 1
-            return product(*samples)
-
-        return form
-
-    for kind, product in oracle._PRODUCTS.items():
-        monkeypatch.setitem(oracle._PRODUCTS, kind, counted(kind, product))
-    grid = np.linspace(0.0, 3.0, 13)
-    profile = SechCoupling(1.0, 0.2)
-    rhos = oracle_evolve_mixed(atom, field, profile, grid)
-    assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
-    return counts
-
-
-@pytest.mark.parametrize("atom_name", THERMAL_PRODUCTS)
-def test_mixed_reduction_forms_no_product_of_zero_weight(atom_name, monkeypatch):
-    counts = product_counts(
-        monkeypatch, PAIRING_ATOMS[atom_name], PAIRING_FIELDS["thermal"]
-    )
-    assert counts == Counter(dict.fromkeys(THERMAL_PRODUCTS[atom_name], 1))
-
-
-def test_mixed_reduction_forms_every_product_once_per_time_block(monkeypatch):
-    # A rank-2 atom on a complex alpha gives every product a weight.
-    from jcdyn import oracle
-
-    counts = product_counts(
-        monkeypatch, PAIRING_ATOMS["rank2"], PAIRING_FIELDS["complex_alpha"]
-    )
-    assert counts == Counter(dict.fromkeys(oracle._PRODUCTS, 1))
+    assert max_gap(rhos, ref) < 1e-14
 
 
 ONE_PAIR_ATOMS = {
@@ -376,10 +340,10 @@ ONE_PAIR_FIELDS = {
 }
 
 
-def solver_rows_and_pairs(solves, atom, field):
-    """Run the mixed oracle against the closed form; return the number of
-    block rows that start nonzero, their live pairs, the photon blocks that
-    hold them and the pairs in the solver's state."""
+def solver_start(solves, atom, field):
+    """Run the mixed oracle against the closed form; return its start
+    amplitudes (``oracle_rows``), the number of photon blocks in which they
+    start nonzero and the pairs in the solver's state."""
     grid = np.linspace(0.0, 8.0, 33)
     profile = SechCoupling(1.0, 0.2)
     rhos = oracle_evolve_mixed(atom, field, profile, grid)
@@ -387,14 +351,15 @@ def solver_rows_and_pairs(solves, atom, field):
     assert max_gap(rhos, evolve_mixed(atom, field, profile, grid)) < 1e-9
     (((_, _, y0), _, _, _),) = solves
     assert y0.dtype == float
-    rows, _ = oracle_rows(atom, field)
-    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
-    return (
-        np.count_nonzero(np.any(rows != 0, axis=-1)),
-        np.count_nonzero(live),
-        np.count_nonzero(np.any(live, axis=(0, 2))),
-        y0.size // 2,
-    )
+    e, g = oracle_rows(atom, field)
+    blocks = np.count_nonzero(np.any((e != 0) | (g != 0), axis=0))
+    return e, g, blocks, y0.size // 2
+
+
+def live_pairs(e, g):
+    """Each member's block pairs (Re e, Im g) and (Re g, Im e) that start
+    nonzero, as two boolean (member, block) arrays."""
+    return (e.real != 0) | (g.imag != 0), (g.real != 0) | (e.imag != 0)
 
 
 @pytest.mark.parametrize("field_name", ONE_PAIR_FIELDS)
@@ -402,66 +367,67 @@ def solver_rows_and_pairs(solves, atom, field):
 def test_real_atom_on_diagonal_field_integrates_one_pair_per_row(
     atom_name, field_name, solves
 ):
-    # A real member on a photon-diagonal field starts each row as (real, 0)
-    # or (0, real): c_e stays real and c_g imaginary, or the other way round,
-    # so one live pair carries the row. The solver integrates one pair per
-    # photon block, which plus_x's |e> and |g> parts share.
-    rows, live, blocks, pairs = solver_rows_and_pairs(
-        solves, ONE_PAIR_ATOMS[atom_name], ONE_PAIR_FIELDS[field_name]
-    )
+    # A real member on a photon-diagonal field starts each amplitude real:
+    # its |e> part's c_e stays real and c_g imaginary, and its |g> part the
+    # other way round, so one live part carries each amplitude. The solver
+    # integrates one pair per photon block, which plus_x's |e> and |g>
+    # parts share.
+    e, g, blocks, pairs = solver_start(solves, ONE_PAIR_ATOMS[atom_name], ONE_PAIR_FIELDS[field_name])
     field = ONE_PAIR_FIELDS[field_name]
-    assert rows > 0 and live == rows
+    amplitudes = np.count_nonzero(e) + np.count_nonzero(g)
+    parts = sum(np.count_nonzero(x) for x in (e.real, e.imag, g.real, g.imag))
+    assert amplitudes > 0 and parts == amplitudes
     # ground's |g,0> is dark, in no block
     assert pairs == blocks == field.n_max + (atom_name != "ground")
-    assert rows == (2 * field.n_max + 1 if atom_name == "plus_x" else blocks)
+    assert amplitudes == (2 * field.n_max + 1 if atom_name == "plus_x" else blocks)
 
 
 @pytest.mark.parametrize(
     "atom, field, spare",
     [
-        # complex amplitudes: both parts of every row are live
+        # complex amplitudes: both pairs of every block are live
         (
             AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j),
             coherent_amplitudes(1.2 + 0.9j),
             0,
         ),
-        # real and nonzero e and g: two pairs, but the top row's g slot is
+        # real and nonzero e and g: two pairs, but the top block's g slot is
         # past the cutoff, which leaves it one
         (AtomState.plus_x(), coherent_amplitudes(1.5), 1),
     ],
     ids=["complex-atom-complex-alpha", "plus_x-real-alpha"],
 )
 def test_complex_start_rows_integrate_two_pairs(atom, field, spare, solves):
-    # Two live pairs per row, both followed through the one pair the solver
-    # integrates for the row's block.
-    rows, live, blocks, pairs = solver_rows_and_pairs(
+    # Two live pairs per block, both followed through the one pair the
+    # solver integrates for the block.
+    e, g, blocks, pairs = solver_start(
         solves, AtomDensityMatrix.from_atom_state(atom), field
     )
-    assert rows > 0 and live == 2 * rows - spare
-    assert pairs == blocks == rows == field.n_max + 1
+    live = sum(np.count_nonzero(x) for x in live_pairs(e, g))
+    assert blocks > 0 and live == 2 * blocks - spare
+    assert pairs == blocks == field.n_max + 1
 
 
 @pytest.mark.parametrize(
-    "atom, per_row",
+    "atom, per_block",
     [
         (AtomState.excited(), 1),
         (AtomState(0.6 + 0.3j, 0.2 - 0.7141428428542850j), 2),
     ],
     ids=["excited-one-pair", "complex-atom-two-pairs"],
 )
-def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
+def test_stage_budget_counts_live_pairs(atom, per_block, monkeypatch):
     # DOP853 holds 16 stage vectors of the integrated pairs, one per photon
-    # block with a live pair, however many live pairs the block's row holds,
-    # each the bytes of one complex value: a count at the budget runs, one
-    # past it is refused before the first step.
+    # block with a live pair, however many live pairs the block holds, each
+    # the bytes of one complex value: a count at the budget runs, one past
+    # it is refused before the first step.
     from jcdyn import oracle
 
     rho = AtomDensityMatrix.from_atom_state(atom)
-    field = coherent_amplitudes(1.2 + 0.9j if per_row == 2 else 1.2)
-    (rows,), _ = oracle_rows(rho, field)  # one state: a block per row
-    live = (rows.real != 0) | (rows.imag[:, ::-1] != 0)
-    assert np.all(np.count_nonzero(live, axis=1) == per_row)
-    count = 16 * len(rows)
+    field = coherent_amplitudes(1.2 + 0.9j if per_block == 2 else 1.2)
+    e, g = oracle_rows(rho, field)  # one member
+    assert np.all(sum(live_pairs(e, g)) == per_block)
+    count = 16 * e.size
     grid = np.linspace(0.0, 1.0, 5)
     monkeypatch.setattr(oracle, "MAX_ORACLE_SAMPLES", count)
     oracle_evolve_mixed(rho, field, CONST, grid)
@@ -473,7 +439,7 @@ def test_stage_budget_counts_live_pairs(atom, per_row, monkeypatch):
     )
 
 
-# Peak of the case below: 0.9 MiB at 201 times, 2.0 MiB at 20,001, where
+# Peak of the case below: 1.2 MiB at 201 times, 2.0 MiB at 20,001, where
 # the three output columns and their conditioned copies take the
 # difference (1.9 and 2.5 MiB when the samples were spread back onto
 # complex rows). Holding the samples took 16.4 MiB at 201 times and
@@ -483,7 +449,7 @@ MIXED_ORACLE_PEAK = 6 * 2**20
 
 @pytest.mark.parametrize("steps", [201, 20001])
 def test_mixed_oracle_memory_does_not_grow_with_times(steps):
-    # The samples go from the solver to the reduction one time block at a
+    # The samples go from the solver to the term table one time block at a
     # time, so past the outputs' few columns the peak is the solver's
     # working set and one block, at 201 times as at 20,001.
     grid = np.linspace(0.0, 4.0, steps)
@@ -499,16 +465,17 @@ def test_mixed_oracle_memory_does_not_grow_with_times(steps):
     assert peak <= MIXED_ORACLE_PEAK
 
 
-# Peak of the case below: 3.8 MiB. Spreading the samples back onto complex
+# Peak of the case below: 3.6 MiB. Spreading the samples back onto complex
 # rows peaked at 5.47 MiB; holding the rows, their coefficients and the
 # live-pair indices through the solve peaks at 5.1 MiB.
 WIDE_ORACLE_PEAK = 5.5 * 2**20
 
 
 def test_mixed_oracle_wide_field_holds_per_block_weights():
-    # plus_x on thermal 200: 11,082 rows in 5,541 photon blocks. Only the
-    # per-block weights of the products outlive the set-up; the rows and
-    # their coefficients are gone before the solve.
+    # plus_x on thermal 200: 11,081 start amplitudes in 5,541 photon
+    # blocks. Only the term table's per-block weights and the start norms
+    # outlive the set-up; the members' start amplitudes are gone before the
+    # solve.
     field = thermal_weights(200.0)
     rho0 = AtomDensityMatrix.from_atom_state(AtomState.plus_x())
     grid = np.linspace(0.0, 2.0, 101)
@@ -522,9 +489,9 @@ def test_mixed_oracle_wide_field_holds_per_block_weights():
 
 
 def test_pure_oracle_holds_no_sample_copy():
-    # Each time block of samples goes straight into the joint state's
-    # arrays, so past them the peak is the solver's working set and one
-    # block. Collecting every sample first took 43 MiB more here.
+    # Each time block's angles turn the start straight into the joint
+    # state's arrays, so past them the peak is the solver's working set and
+    # one block. Collecting every sample first took 43 MiB more here.
     grid = np.linspace(0.0, 4.0, 20001)
     tracemalloc.start()
     try:
@@ -761,8 +728,8 @@ def test_mixed_oracle_starts_members_at_physical_amplitudes(monkeypatch):
     assert len(calls) == 1
     y0, sol = calls[0]
     p = thermal_weights(5.0).weights
-    # 303 rows, e-member and g-member, in 152 photon blocks: one pair each,
-    # starting at (r_n, 0)
+    # 303 start amplitudes, on |e> and on |g>, in 152 photon blocks: one
+    # pair each, starting at (r_n, 0)
     assert y0.size == 2 * p.size
     assert np.all(y0[1::2] == 0.0)
     # plus_x is one member, w = 1 and |phi_g|^2 = 1/2; |g,0> stays out of y0
@@ -772,7 +739,8 @@ def test_mixed_oracle_starts_members_at_physical_amplitudes(monkeypatch):
 
 
 def test_mixed_oracle_wide_thermal_field():
-    # mean_n = 200 keeps 5,541 photon levels: 11,081 rows in one solve.
+    # mean_n = 200 keeps 5,541 photon levels: 11,081 start amplitudes in
+    # one solve.
     from jcdyn.scenario import AtomSpec, FieldSpec
 
     table = run(
@@ -822,10 +790,11 @@ FACTOR_ATOMS = {
 
 @pytest.mark.parametrize("atom, members", FACTOR_ATOMS.values(), ids=FACTOR_ATOMS.keys())
 def test_atom_members_sum_to_the_density_matrix(atom, members):
-    # On the one-level field |0>, state k holds member v_k as (e_0, dark g_0),
-    # and sum_k v_k v_k^dagger is the atom; a pure atom is one member.
-    rows, dark = oracle_rows(atom, custom_distribution(amplitudes=[1.0]))
-    v = np.stack([rows[:, 0, 0], dark], axis=1)
+    # On the one-photon field |1>, member k's start holds v_k,g in block 0's
+    # g and v_k,e in block 1's e, and sum_k v_k v_k^dagger is the atom; a
+    # pure atom is one member.
+    e, g = oracle_rows(atom, custom_distribution(amplitudes=[0.0, 1.0]))
+    v = np.stack([e[:, 1], g[:, 0]], axis=1)
     assert len(v) == members
     assert np.max(np.abs(v.T @ v.conj() - atom.as_matrix())) < 1e-15
 
@@ -838,8 +807,8 @@ def test_mixed_oracle_runs_at_the_positivity_edge(ee):
     gg = 1.0 - ee
     rho0 = AtomDensityMatrix(ee, gg, math.sqrt(ee * gg + 0.99e-10))
     field = thermal_weights(1.2)
-    _, dark = oracle_rows(rho0, field)
-    assert dark.size == 2  # one member: its |e> and |g> parts
+    e, _ = oracle_rows(rho0, field)
+    assert len(e) == 1  # one member
     grid = np.linspace(0.0, 3.0, 13)
     profile = SechCoupling(1.0, 0.2)
     rhos = oracle_evolve_mixed(rho0, field, profile, grid)
@@ -883,9 +852,8 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
     assert span_end == t_end
     # One pair per photon block with a live pair, in block order; its
     # block n sets k.
-    rows, _ = oracle_rows(rho0, field)
-    live = (rows.real != 0) | (rows.imag[..., ::-1] != 0)
-    n = np.flatnonzero(np.any(live, axis=(0, 2)))
+    e, g = oracle_rows(rho0, field)
+    n = np.flatnonzero(np.any((e != 0) | (g != 0), axis=0))
     assert y0.dtype == float and y0.size == 2 * n.size
     plain = _plain_pair_rhs(np.sqrt(n + 1.0), profile, t_end)
     rng = np.random.default_rng(7)
@@ -902,13 +870,13 @@ def test_right_hand_side_is_the_plain_expression_bit_for_bit(profile, solves):
 def test_rk4_steps_the_plain_expression_bit_for_bit(profile):
     # integrate_block's fixed-step RK4 shares the solver's right-hand side;
     # a local RK4 over the plain expression, on the block's one pair
-    # (r, 0), and the pair (Re c_e, Im c_g) = (0.6, 0.8) followed as
-    # (0.6 + 0.8 i) / r (P + i Q), give the same bits.
+    # (r, 0), r = |(0.6, 0.8 i)|, and the start (0.6, 0.8 i) turned by
+    # (c, s) = (P, -Q) / hypot(P, Q) as c (e0, g0) - i s (g0, e0), give the
+    # same bits.
     n, rk4_step = 2, 0.07
     grid = np.array([0.0, 0.25, 0.6, 1.0])
     rhs = _plain_pair_rhs(np.sqrt(n + 1.0), profile, grid[-1])
-    r = np.hypot(0.6, 0.8)
-    y = np.array([r, 0.0])
+    y = np.array([np.hypot(0.6, 0.8), 0.0])
     expected = [y]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         m = max(1, math.ceil((t1 - t0) / rk4_step))
@@ -922,10 +890,17 @@ def test_rk4_steps_the_plain_expression_bit_for_bit(profile):
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         expected.append(y)
     big_p, big_q = np.array(expected).T
-    wr, wi = 0.6 / r, 0.8 / r
-    # (Re c_e, Im c_e, Re c_g, Im c_g); the dead pair (Re c_g, Im c_e) stays 0
-    floats = np.zeros((grid.size, 4))
-    floats[:, 0] = big_p * wr - big_q * wi
-    floats[:, 3] = big_q * wr + big_p * wi
+    c = big_p / np.hypot(big_p, big_q)
+    s = big_q / -np.hypot(big_p, big_q)
+    # (Re c_e, Im c_e, Re c_g, Im c_g) from e0 = 0.6 and g0 = 0.8 i
+    floats = np.stack(
+        [
+            c * 0.6 + s * 0.8,
+            c * 0.0 - s * 0.0,
+            c * 0.0 + s * 0.0,
+            c * 0.8 - s * 0.6,
+        ],
+        axis=1,
+    )
     traj = integrate_block(n, (0.6, 0.8j), profile, grid, rk4_step=rk4_step)
     assert traj.tobytes() == floats.tobytes()

@@ -228,13 +228,26 @@ def test_reduced_kernel_matches_traced_joint_state(atom, field, profile, t):
 
 
 @COMMON
-@given(density_matrices(), phased_pure_fields(), profiles(), times)
+@given(density_matrices(), phased_pure_fields() | mixed_fields(), profiles(), times)
 def test_mixed_atom_on_pure_field_is_eigen_mixture(rho0, field, profile, t):
+    # A photon-diagonal field is the mixture of its number states |n>,
+    # weighted p_n. The joint-state path shares no weight (d, f or h) with
+    # the kernel's term table, so it holds those weights on both kinds of
+    # field.
+    if field.amplitudes is not None:
+        fields = [(1.0, field)]
+    else:
+        fields = [
+            (p, custom_distribution(amplitudes=[0.0] * n + [1.0]))
+            for n, p in enumerate(field.weights)
+            if p > 0.0
+        ]
     vals, vecs = np.linalg.eigh(rho0.as_matrix())
     mixture = sum(
-        w * _entries(reduced_atom(evolve_pure(AtomState(*v), field, profile, t)))
+        p * w * _entries(reduced_atom(evolve_pure(AtomState(*v), part, profile, t)))
+        for p, part in fields
         for w, v in zip(vals, vecs.T)
         if w > 0.0
-    )
+    ) / sum(p for p, _ in fields)
     via_kernel = evolve_mixed(rho0, field, profile, t)
     assert np.max(np.abs(_entries(via_kernel) - mixture)) < 1e-12
